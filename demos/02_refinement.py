@@ -14,7 +14,6 @@ from finop import (
     Spectrum,
     common_refine,
     embed,
-    ladder_level,
     spectrum,
     to_matrix,
 )
@@ -51,5 +50,4 @@ print("sum has shifts", sorted(S.terms))
 for spec in ("factorial", "2^n", "custom:2,6,12"):
     lad = Ladder.parse(spec)
     print(f"{spec:>14}: levels 1..4 ->",
-          [ladder_level(lad, n) for n in range(1, 5)]
-          if lad.kind != "custom" else [lad.level(n) for n in range(1, 4)])
+          [lad.level(n) for n in range(1, 5 if lad.kind != "custom" else 4)])

@@ -13,7 +13,7 @@ from .errors import (
 from .grid import GridSpec, StepFunction, flatten_cell, unflatten_cell
 from .operators import FiniteOperator, GridVector, build_pde
 from .matrep import RepMatrix, Spectrum, from_matrix, matrix_exp, spectrum, to_matrix
-from .refinement import Ladder, common_refine, embed, ladder_level
+from .refinement import Ladder, common_refine, embed
 from .digitmap import (
     CellPermutation,
     DigitExpansion,
@@ -32,7 +32,6 @@ from .isomorphism import (
     evolve_compare,
     ode_to_pde,
     pde_to_ode,
-    verify_spectrum,
 )
 from .uhf import SupernaturalNumber, classify, factorial_sn, is_car
 from .dsl import lower, lower_fop, parse_expression, parse_fop, print_expression
@@ -44,12 +43,12 @@ __all__ = [
     "SizeLimitError", "GridSpec", "StepFunction", "flatten_cell",
     "unflatten_cell", "FiniteOperator", "GridVector", "build_pde",
     "RepMatrix", "Spectrum", "from_matrix", "matrix_exp", "spectrum",
-    "to_matrix", "Ladder", "common_refine", "embed", "ladder_level",
+    "to_matrix", "Ladder", "common_refine", "embed",
     "CellPermutation", "DigitExpansion", "apply_unitary",
     "apply_unitary_inverse", "bphi", "build_permutation", "cell_map",
     "cell_rank", "expand_digits", "ConjugationResult", "EvolutionReport",
     "SpectralReport", "evolve_compare", "ode_to_pde", "pde_to_ode",
-    "verify_spectrum", "SupernaturalNumber", "classify", "factorial_sn",
+    "SupernaturalNumber", "classify", "factorial_sn",
     "is_car", "lower", "lower_fop", "parse_expression", "parse_fop",
     "print_expression",
 ]

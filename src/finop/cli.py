@@ -2,7 +2,7 @@
 digits | verify.
 
 JSON is the machine format, aligned tables the human format (--format).
-FINOP_MAX_K caps the representation size (default 2000). Exit code 0 means
+FINOP_MAX_K caps the size K of any matrix or permutation. Exit code 0 means
 every requested check passed.
 """
 
@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .digitmap import expand_digits
-from .errors import FinopError, SizeLimitError
+from .digitmap import DEFAULT_MAX_K, _check_size, expand_digits
+from .errors import FinopError
 from .grid import GridSpec
-from .isomorphism import evolve_compare, pde_to_ode, verify_spectrum
+from .isomorphism import SPECTRUM_RTOL, evolve_compare, pde_to_ode
 from .matrep import spectrum, to_matrix
 from .operators import FiniteOperator, GridVector
 from .refinement import embed
@@ -30,21 +29,11 @@ from .uhf import SupernaturalNumber, classify, is_car
 from .dsl import lower_fop, parse_fop
 
 
-def _max_k() -> int:
-    return int(os.environ.get("FINOP_MAX_K", 2000))
-
-
-def _check_size(K: int):
-    if K > _max_k():
-        raise SizeLimitError("matrix too large (set FINOP_MAX_K to raise the cap)",
-                             requested=K, limit=_max_k())
-
-
 def _load_operator(path: str):
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     op, grid = lower_fop(parse_fop(source))
-    _check_size(grid.dim)
+    _check_size(grid.dim, "matrix")
     return op, grid
 
 
@@ -88,14 +77,14 @@ def cmd_spectrum(args) -> int:
 
 def cmd_conjugate(args) -> int:
     op, grid = _load_operator(args.file)
-    _check_size(grid.M * math.factorial(args.level) ** grid.N)
+    _check_size(grid.M * math.factorial(args.level) ** grid.N, "matrix")
     result = pde_to_ode(op, args.level)
     payload = result.to_json_dict()
     rep = result.spectral_report
     table = [
         f"level {result.level}: K={result.K}",
         f"spectral deviation {rep.max_deviation:.3e} "
-        f"(tol {1e-8 * max(rep.scale, 1.0):.3e}) -> {'PASS' if rep.passed else 'FAIL'}",
+        f"(tol {rep.tolerance:.3e}) -> {'PASS' if rep.passed else 'FAIL'}",
         f"1D operator has {len(result.ode.terms)} shift terms on p={result.ode.grid.p}",
     ]
     _emit(args, payload, table)
@@ -200,9 +189,10 @@ def _verify_checks(seed: int):
     for M in (1, 2):
         grid = GridSpec(2, M, 2)
         A = random_operator(rng, grid)
-        rep = verify_spectrum(A, pde_to_ode(A, 2))
+        rep = pde_to_ode(A, 2).spectral_report
         worst = max(worst, rep.max_deviation / max(rep.scale, 1.0))
-    yield "conjugation spectrum equality", worst <= 1e-8, f"max relative deviation {worst:.2e}"
+    yield ("conjugation spectrum equality", worst <= SPECTRUM_RTOL,
+           f"max relative deviation {worst:.2e}")
 
 
 def cmd_verify(args) -> int:
@@ -227,7 +217,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="finop", description=__doc__)
+    parser = argparse.ArgumentParser(prog="finop", description=__doc__,
+                                     epilog=f"FINOP_MAX_K defaults to {DEFAULT_MAX_K}.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

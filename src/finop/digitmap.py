@@ -25,7 +25,18 @@ DEFAULT_MAX_K = 2000
 
 
 def _max_k() -> int:
-    return int(os.environ.get("FINOP_MAX_K", DEFAULT_MAX_K))
+    raw = os.environ.get("FINOP_MAX_K", str(DEFAULT_MAX_K))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FINOP_MAX_K must be an integer, got {raw!r}") from None
+
+
+def _check_size(K: int, what: str):
+    limit = _max_k()
+    if K > limit:
+        raise SizeLimitError(f"{what} too large (set FINOP_MAX_K to raise the cap)",
+                             requested=K, limit=limit)
 
 
 @dataclass(frozen=True)
@@ -139,8 +150,7 @@ def build_permutation(N: int, M: int, level: int) -> CellPermutation:
         raise ValueError("level must be >= 1")
     pf = math.factorial(level)
     K = M * pf**N
-    if K > _max_k():
-        raise SizeLimitError("permutation too large", requested=K, limit=_max_k())
+    _check_size(K, "permutation")
     forward = np.empty(K, dtype=np.int64)
     for k in range(K):
         exp = expand_digits(Fraction(k, K), N, M, level)

@@ -1,8 +1,10 @@
 """Exact rational grid geometry and matrix-valued step functions on the torus.
 
 The torus T^N is split into p^N half-open cells of side 1/p.  Cell indices
-are N-tuples with axis 0 most significant in the flat (lexicographic) order;
-this single convention is shared by every module that enumerates cells.
+are N-tuples with axis 0 most significant in the flat (lexicographic) order.
+All cell-index arithmetic lives here: other modules obtain flat indices from
+flatten_cell/unflatten_cell (one cell) or shift_index/parent_index (every
+cell at once) and never flatten coordinates themselves.
 Step functions are matrix valued and constant on each cell; geometry is kept
 in exact rationals while matrix entries are complex doubles.
 """
@@ -79,6 +81,29 @@ def all_cell_coords(p: int, N: int) -> np.ndarray:
         coords[:, a] = idx % p
         idx //= p
     return coords
+
+
+def _flat_index(axis_coords, p: int) -> np.ndarray:
+    """Flat indices of the product of per-axis coordinate arrays, axis 0 first."""
+    flat = np.zeros(1, dtype=np.int64)
+    for coords in axis_coords:
+        flat = np.add.outer(flat * p, coords).ravel()
+    return flat
+
+
+def shift_index(p: int, N: int, shift) -> np.ndarray:
+    """Flat index of cell r + shift (mod p), for every cell r in flat order."""
+    if len(shift) != N:
+        raise ValueError(f"shift {tuple(shift)} has wrong arity for N={N}")
+    axis = np.arange(p, dtype=np.int64)
+    return _flat_index([(axis + int(s)) % p for s in shift], p)
+
+
+def parent_index(p: int, q: int, N: int) -> np.ndarray:
+    """Flat index of the p-cell containing each q-cell (p must divide q)."""
+    if q % p != 0:
+        raise GridMismatchError(f"p={p} does not divide q={q}")
+    return _flat_index([np.arange(q, dtype=np.int64) // (q // p)] * N, p)
 
 
 def cell_of_point(point, p: int):
@@ -172,27 +197,14 @@ class StepFunction:
 
     def refine(self, q: int) -> "StepFunction":
         """Re-express on the q-grid (p must divide q); same function on T^N."""
-        p = self.grid.p
-        if q % p != 0:
-            raise GridMismatchError(f"p={p} does not divide q={q}")
-        f = q // p
-        if f == 1:
+        if q == self.grid.p:
             return self
-        fine = GridSpec(self.grid.N, self.grid.M, q)
-        coords = all_cell_coords(q, self.grid.N) // f
-        parent = np.zeros(fine.num_cells, dtype=np.int64)
-        for a in range(self.grid.N):
-            parent = parent * p + coords[:, a]
-        return StepFunction(fine, self.values[parent])
+        parent = parent_index(self.grid.p, q, self.grid.N)
+        return StepFunction(GridSpec(self.grid.N, self.grid.M, q), self.values[parent])
 
     def translate(self, shift) -> "StepFunction":
         """S(x + h*j) for an integer cell shift j (tuple of length N)."""
-        p = self.grid.p
-        coords = (all_cell_coords(p, self.grid.N) + np.asarray(shift, dtype=np.int64)) % p
-        perm = np.zeros(self.grid.num_cells, dtype=np.int64)
-        for a in range(self.grid.N):
-            perm = perm * p + coords[:, a]
-        return StepFunction(self.grid, self.values[perm])
+        return StepFunction(self.grid, self.values[shift_index(self.grid.p, self.grid.N, shift)])
 
     def value_at(self, point) -> np.ndarray:
         """Sample the function at an exact rational point of T^N."""

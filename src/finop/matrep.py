@@ -9,6 +9,7 @@ coefficient A_j on cell r.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import FinopError
-from .grid import GridSpec, StepFunction, all_cell_coords
+from .grid import GridSpec, StepFunction, shift_index
 from .operators import FiniteOperator
 
 
@@ -87,19 +88,6 @@ class Spectrum:
         return float(cost[rows, cols].max())
 
 
-def _shift_perms(grid: GridSpec):
-    """For each shift j (flat order), the permutation r -> (r + j) mod p."""
-    p, N = grid.p, grid.N
-    coords = all_cell_coords(p, N)
-    for j in range(grid.num_cells):
-        jc = coords[j]
-        shifted = (coords + jc) % p
-        perm = np.zeros(grid.num_cells, dtype=np.int64)
-        for a in range(N):
-            perm = perm * p + shifted[:, a]
-        yield tuple(int(c) for c in jc), perm
-
-
 def to_matrix(A: FiniteOperator) -> RepMatrix:
     """Assemble the block matrix: block(r, j) = A_{j-r}(cell r)."""
     grid = A.grid
@@ -107,13 +95,8 @@ def to_matrix(A: FiniteOperator) -> RepMatrix:
     nc = grid.num_cells
     blocks = np.zeros((nc, nc, M, M), dtype=np.complex128)
     rows = np.arange(nc)
-    coords = all_cell_coords(p, N)
     for j, coeff in A.terms.items():
-        shifted = (coords + np.asarray(j, dtype=np.int64)) % p
-        cols = np.zeros(nc, dtype=np.int64)
-        for a in range(N):
-            cols = cols * p + shifted[:, a]
-        blocks[rows, cols] += coeff.values
+        blocks[rows, shift_index(p, N, j)] += coeff.values
     entries = blocks.transpose(0, 2, 1, 3).reshape(grid.dim, grid.dim)
     return RepMatrix(grid, entries)
 
@@ -126,8 +109,8 @@ def from_matrix(B: RepMatrix) -> FiniteOperator:
     blocks = B.entries.reshape(nc, M, nc, M).transpose(0, 2, 1, 3)
     rows = np.arange(nc)
     terms = {}
-    for j, perm in _shift_perms(grid):
-        vals = blocks[rows, perm]
+    for j in itertools.product(range(p), repeat=N):
+        vals = blocks[rows, shift_index(p, N, j)]
         if np.any(vals != 0):
             terms[j] = StepFunction(grid, vals)
     return FiniteOperator(grid, terms)

@@ -15,9 +15,7 @@ from math import lcm
 import numpy as np
 
 from .errors import GridMismatchError, RefinementHintError
-from .grid import GridSpec, StepFunction, all_cell_coords
-
-ZERO_CELL_TOL = 0.0  # prune exact zeros only; near-zeros are kept on purpose
+from .grid import GridSpec, StepFunction, parent_index, shift_index
 
 
 def _norm_shift(shift, grid: GridSpec):
@@ -51,18 +49,12 @@ class GridVector:
     def refine(self, q: int) -> "GridVector":
         """Same L^2 function expressed on the q-grid; norm preserved."""
         p = self.grid.p
-        if q % p != 0:
-            raise GridMismatchError(f"p={p} does not divide q={q}")
-        f = q // p
-        if f == 1:
+        if q == p:
             return self
+        parent = parent_index(p, q, self.grid.N)
         fine = GridSpec(self.grid.N, self.grid.M, q)
-        coords = all_cell_coords(q, self.grid.N) // f
-        parent = np.zeros(fine.num_cells, dtype=np.int64)
-        for a in range(self.grid.N):
-            parent = parent * p + coords[:, a]
         cells = self.values.reshape(self.grid.num_cells, self.grid.M)
-        scale = (1.0 / f) ** (self.grid.N / 2.0)  # indicator renormalization
+        scale = (1.0 / (q // p)) ** (self.grid.N / 2.0)  # indicator renormalization
         return GridVector(fine, (cells[parent] * scale).reshape(-1))
 
 
@@ -178,16 +170,11 @@ class FiniteOperator:
         """Act on a grid vector: out(r) = sum_j A_j(cell r) u(r + j mod p)."""
         if u.grid != self.grid:
             raise GridMismatchError(f"vector on {u.grid}, operator on {self.grid}")
-        p, N, M = self.grid.p, self.grid.N, self.grid.M
-        cells = u.values.reshape(self.grid.num_cells, M)
-        coords = all_cell_coords(p, N)
+        p, N = self.grid.p, self.grid.N
+        cells = u.values.reshape(self.grid.num_cells, self.grid.M)
         out = np.zeros_like(cells)
         for j, coeff in self.terms.items():
-            shifted = (coords + np.asarray(j, dtype=np.int64)) % p
-            perm = np.zeros(self.grid.num_cells, dtype=np.int64)
-            for a in range(N):
-                perm = perm * p + shifted[:, a]
-            out += np.einsum("cij,cj->ci", coeff.values, cells[perm])
+            out += np.einsum("cij,cj->ci", coeff.values, cells[shift_index(p, N, j)])
         return GridVector(self.grid, out.reshape(-1))
 
     # -- serialization -----------------------------------------------------

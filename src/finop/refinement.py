@@ -102,7 +102,3 @@ class Ladder:
         if text.startswith("custom:"):
             return Ladder.custom(int(v) for v in text[len("custom:"):].split(","))
         raise ValueError(f"cannot parse ladder spec {text!r}")
-
-
-def ladder_level(ladder: Ladder, n: int) -> int:
-    return ladder.level(n)

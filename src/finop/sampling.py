@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, StepFunction
+from .grid import GridSpec, StepFunction, unflatten_cell
 from .operators import FiniteOperator, GridVector
 
 
@@ -22,12 +22,7 @@ def random_operator(rng: np.random.Generator, grid: GridSpec,
     num_terms = min(num_terms, grid.num_cells)
     shifts = rng.choice(grid.num_cells, size=num_terms, replace=False)
     for flat in shifts:
-        coords = []
-        rest = int(flat)
-        for _ in range(grid.N):
-            coords.append(rest % grid.p)
-            rest //= grid.p
-        terms[tuple(reversed(coords))] = random_step_function(rng, grid)
+        terms[unflatten_cell(int(flat), grid.p, grid.N)] = random_step_function(rng, grid)
     return FiniteOperator(grid, terms)
 
 

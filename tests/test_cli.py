@@ -133,3 +133,12 @@ def test_max_k_cap(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "repr", str(f))
     assert code == 2
     assert "FINOP_MAX_K" in err
+
+
+def test_max_k_not_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FINOP_MAX_K", "abc")
+    f = tmp_path / "d.fop"
+    f.write_text("N = 1\noperator { D(1,1/4) }\n")
+    code, _, err = run(capsys, "repr", str(f))
+    assert code == 2
+    assert "FINOP_MAX_K" in err and "'abc'" in err

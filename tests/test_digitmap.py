@@ -156,5 +156,6 @@ def test_size_cap(monkeypatch):
     monkeypatch.setenv("FINOP_MAX_K", "10")
     from finop.errors import SizeLimitError
 
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as exc:
         build_permutation(2, 1, 3)
+    assert "FINOP_MAX_K" in str(exc.value)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finop import GridSpec, GridMismatchError, StepFunction, flatten_cell, unflatten_cell
+from finop.grid import parent_index, shift_index
 
 from conftest import rand_step
 
@@ -29,6 +30,30 @@ def test_grid_validation():
 def test_flat_index_roundtrip(p, N, data):
     flat = data.draw(st.integers(0, p**N - 1))
     assert flatten_cell(unflatten_cell(flat, p, N), p) == flat
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_shift_index_matches_scalar_oracle(p, N, data):
+    shift = data.draw(st.lists(st.integers(-2 * p - 3, 2 * p + 3), min_size=N, max_size=N))
+    expected = [
+        flatten_cell([(c + s) % p for c, s in zip(unflatten_cell(r, p, N), shift)], p)
+        for r in range(p**N)
+    ]
+    assert shift_index(p, N, shift).tolist() == expected
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
+def test_parent_index_matches_scalar_oracle(p, f, N):
+    q = p * f
+    expected = [flatten_cell([c // f for c in unflatten_cell(r, q, N)], p) for r in range(q**N)]
+    assert parent_index(p, q, N).tolist() == expected
+
+
+def test_index_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        shift_index(3, 2, (1,))
+    with pytest.raises(GridMismatchError):
+        parent_index(2, 3, 1)
 
 
 def test_add_identity_and_partition_of_unity():

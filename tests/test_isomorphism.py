@@ -11,11 +11,11 @@ from finop import (
     RefinementHintError,
     embed,
     evolve_compare,
+    matrix_exp,
     ode_to_pde,
     pde_to_ode,
     spectrum,
     to_matrix,
-    verify_spectrum,
 )
 
 from conftest import rand_op, rand_vec
@@ -53,23 +53,33 @@ def test_grid_incompatibility_hint():
     assert exc.value.required_p == math.factorial(5)
 
 
-def test_permutation_similarity_is_definitional(rng):
-    A = rand_op(rng, 2, 2, 2)
-    res = pde_to_ode(A, 2)
-    Pm = res.permutation.matrix()
-    lhs = to_matrix(res.ode).entries
-    rhs = Pm.T @ to_matrix(embed(A, 2)).entries @ Pm
-    assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(np.linalg.norm(rhs), 1.0)
+# (N, M, level) frames whose digit permutation is not the identity
+FRAMES = [(2, 2, 2), (1, 2, 3), (2, 1, 3)]
 
 
-def test_round_trip_equals_embedding(rng):
-    A = rand_op(rng, 2, 2, 2)
-    res = pde_to_ode(A, 2)
-    back = ode_to_pde(res.ode, 2, 2, 2)
-    ref = embed(A, 2)
+@pytest.mark.parametrize("N,M,level", FRAMES)
+def test_permutation_similarity_is_definitional(rng, N, M, level):
+    A = rand_op(rng, N, M, 2)
+    res = pde_to_ode(A, level)
+    P = res.permutation
+    assert not np.array_equal(P.forward, np.arange(P.size))
+    Pm = P.matrix()  # dense 0/1 oracle for the index gathers
+    B = to_matrix(embed(A, math.factorial(level))).entries
+    Bode = to_matrix(res.ode).entries
+    assert np.array_equal(Bode, Pm.T @ B @ Pm)
+    back = to_matrix(ode_to_pde(res.ode, N, M, level)).entries
+    assert np.array_equal(back, Pm @ Bode @ Pm.T)
+
+
+@pytest.mark.parametrize("N,M,level", FRAMES)
+def test_round_trip_equals_embedding(rng, N, M, level):
+    A = rand_op(rng, N, M, 2)
+    res = pde_to_ode(A, level)
+    back = ode_to_pde(res.ode, N, M, level)
+    ref = embed(A, math.factorial(level))
     assert set(back.terms) == set(ref.terms)
     for s in ref.terms:
-        assert np.allclose(back.terms[s].values, ref.terms[s].values, atol=1e-13)
+        assert np.array_equal(back.terms[s].values, ref.terms[s].values)
 
 
 def test_random_1d_operator_back_to_pde_keeps_spectrum(rng):
@@ -82,14 +92,15 @@ def test_random_1d_operator_back_to_pde_keeps_spectrum(rng):
 
 def test_verify_spectrum_reports(rng):
     ident = FiniteOperator.identity(GridSpec(2, 1, 2))
-    rep = verify_spectrum(ident, pde_to_ode(ident, 2))
+    rep = pde_to_ode(ident, 2).spectral_report
     assert rep.max_deviation == 0.0 and rep.passed
     A = rand_op(rng, 2, 2, 2)
-    rep = verify_spectrum(A, pde_to_ode(A, 2))
+    rep = pde_to_ode(A, 2).spectral_report
     assert rep.passed
+    assert rep.to_json_dict()["tolerance"] == rep.tolerance
     # self-adjoint positive case: all eigenvalues real nonnegative on both sides
     P = A.adjoint().compose(A)
-    rep = verify_spectrum(P, pde_to_ode(P, 2))
+    rep = pde_to_ode(P, 2).spectral_report
     assert rep.passed
     for sp in (rep.source, rep.target):
         assert np.all(sp.eigenvalues.real >= -1e-9)
@@ -123,6 +134,21 @@ def test_evolve_zero_time_and_kernel():
     assert rep.passed
     assert rep.discrepancies[0] == 0.0
     assert np.all(lap.apply(const).values == 0)
+
+
+def test_evolve_compare_matches_dense_oracle(rng):
+    A = rand_op(rng, 2, 1, 2)
+    u0 = rand_vec(rng, 2, 1, 6)
+    rep = evolve_compare(A, u0, [0.1, 1.0], 3)
+    res = pde_to_ode(A, 3)
+    Pm = res.permutation.matrix()
+    B, Bode, u = res.source_matrix, to_matrix(res.ode), u0.values
+    expected = tuple(
+        float(np.linalg.norm(Pm.T @ (matrix_exp(B, t).entries @ u)
+                             - matrix_exp(Bode, t).entries @ (Pm.T @ u)))
+        for t in (0.1, 1.0)
+    )
+    assert rep.discrepancies == expected
 
 
 def test_evolve_random(rng):

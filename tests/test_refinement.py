@@ -10,7 +10,6 @@ from finop import (
     Ladder,
     common_refine,
     embed,
-    ladder_level,
     spectrum,
     to_matrix,
 )
@@ -109,11 +108,11 @@ def test_common_refine_sum_matches_oracle(rng):
 
 
 def test_ladders():
-    assert ladder_level(Ladder.factorial(), 3) == 6
-    assert ladder_level(Ladder.prime_power(2), 4) == 16
-    assert ladder_level(Ladder.custom([2, 6, 12]), 2) == 6
+    assert Ladder.factorial().level(3) == 6
+    assert Ladder.prime_power(2).level(4) == 16
+    assert Ladder.custom([2, 6, 12]).level(2) == 6
     with pytest.raises(ValueError):
-        ladder_level(Ladder.custom([2, 6, 12]), 4)
+        Ladder.custom([2, 6, 12]).level(4)
     with pytest.raises(ValueError):
         Ladder.custom([2, 5])  # 2 does not divide 5
     assert Ladder.parse("factorial").kind == "factorial"
