@@ -136,6 +136,11 @@ def cmd_digits(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# (N, M, level) frames of the verify spectrum check; none has the identity as
+# its digit permutation, so the check can fail.
+SPECTRUM_CHECK_FRAMES = ((2, 1, 3), (2, 2, 2))
+
+
 def _verify_checks(seed: int):
     """Randomized invariant suite; yields (name, passed, detail)."""
     from .digitmap import build_permutation
@@ -186,10 +191,9 @@ def _verify_checks(seed: int):
     yield "permutation bijectivity", ok, "forward/inverse compose to identity"
 
     worst = 0.0
-    for M in (1, 2):
-        grid = GridSpec(2, M, 2)
-        A = random_operator(rng, grid)
-        rep = pde_to_ode(A, 2).spectral_report
+    for N, M, level in SPECTRUM_CHECK_FRAMES:
+        A = random_operator(rng, GridSpec(N, M, 2))
+        rep = pde_to_ode(A, level).spectral_report
         worst = max(worst, rep.max_deviation / max(rep.scale, 1.0))
     yield ("conjugation spectrum equality", worst <= SPECTRUM_RTOL,
            f"max relative deviation {worst:.2e}")

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import FinopError
 from .grid import GridSpec, StepFunction, shift_index
@@ -81,6 +79,8 @@ class Spectrum:
         Plain sorted comparison mis-pairs conjugate eigenvalue pairs whose
         real parts tie up to rounding noise, so pair by minimal assignment.
         """
+        import scipy.optimize  # imported here: loading scipy dominates CLI startup
+
         if len(self) != len(other):
             raise ValueError("spectra have different sizes")
         cost = np.abs(self.eigenvalues[:, None] - other.eigenvalues[None, :])
@@ -127,6 +127,8 @@ def spectrum(B: RepMatrix) -> Spectrum:
 
 def matrix_exp(B: RepMatrix, t: float = 1.0) -> RepMatrix:
     """exp(t B) via scaling-and-squaring with Pade approximant."""
+    import scipy.linalg
+
     ent = scipy.linalg.expm(t * B.entries)
     if not np.all(np.isfinite(ent)):
         raise FinopError(f"matrix exponential overflowed at t={t}")

@@ -7,17 +7,39 @@ as a distinct symbolic value (it cannot be stored extensionally).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 INF = float("inf")
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError where it is not exact."""
     if q < 2:
         return False
-    for d in range(2, int(math.isqrt(q)) + 1):
-        if q % d == 0:
+    if q >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot decide whether {q} is prime: "
+                         f"primality is exact only below {_MR_EXACT_BELOW}")
+    for a in _MR_BASES:
+        if q % a == 0:
+            return q == a
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
     return True
 

@@ -142,3 +142,12 @@ def test_max_k_not_an_integer(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "repr", str(f))
     assert code == 2
     assert "FINOP_MAX_K" in err and "'abc'" in err
+
+
+def test_verify_spectrum_frames_are_not_identity_permutations():
+    from finop.cli import SPECTRUM_CHECK_FRAMES
+    from finop.digitmap import build_permutation
+
+    for frame in SPECTRUM_CHECK_FRAMES:
+        P = build_permutation(*frame)
+        assert not np.array_equal(P.forward, np.arange(P.size)), frame

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import finop.isomorphism
+import finop.matrep
 from finop import (
     FiniteOperator,
     GridSpec,
@@ -80,6 +82,52 @@ def test_round_trip_equals_embedding(rng, N, M, level):
     assert set(back.terms) == set(ref.terms)
     for s in ref.terms:
         assert np.array_equal(back.terms[s].values, ref.terms[s].values)
+
+
+@pytest.mark.parametrize("N,M,level", FRAMES)
+def test_source_spectrum_and_scale_come_from_own_grid(rng, N, M, level):
+    A = rand_op(rng, N, M, 2)
+    rep = pde_to_ode(A, level).spectral_report
+    copies = (math.factorial(level) // 2) ** N
+    lifted = np.repeat(spectrum(to_matrix(A)).eigenvalues, copies)
+    assert np.array_equal(rep.source.eigenvalues, lifted)
+    # the scale equals the embedded operator's norm, so the tolerance is not looser
+    embedded = to_matrix(embed(A, math.factorial(level)))
+    assert rep.scale == pytest.approx(embedded.norm(), rel=1e-12)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("N,M,level", FRAMES)
+def test_pde_to_ode_one_k_by_k_eigensolve_and_no_k_by_k_svd(rng, monkeypatch, N, M, level):
+    A = rand_op(rng, N, M, 2)
+    eig_sizes, norm_sizes = [], []
+    eigvals, norm = np.linalg.eigvals, finop.matrep.RepMatrix.norm
+
+    def counted_eigvals(a):
+        eig_sizes.append(len(a))
+        return eigvals(a)
+
+    def counted_norm(B):
+        norm_sizes.append(B.grid.dim)
+        return norm(B)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(finop.matrep.RepMatrix, "norm", counted_norm)
+    res = pde_to_ode(A, level)
+    assert sorted(eig_sizes) == [A.grid.dim, res.K]
+    assert norm_sizes == [A.grid.dim]
+
+
+def test_evolve_compare_does_no_spectral_work(rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral work in evolve_compare")
+
+    monkeypatch.setattr(finop.isomorphism, "spectrum", forbidden)
+    monkeypatch.setattr(finop.matrep.RepMatrix, "norm", forbidden)
+    monkeypatch.setattr(finop.matrep.Spectrum, "max_deviation", forbidden)
+    A = rand_op(rng, 2, 1, 2)
+    rep = evolve_compare(A, rand_vec(rng, 2, 1, 6), [0.1, 1.0], 3)
+    assert len(rep.discrepancies) == 2
 
 
 def test_random_1d_operator_back_to_pde_keeps_spectrum(rng):

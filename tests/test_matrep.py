@@ -114,3 +114,16 @@ def test_csv_and_json_export():
     d = B.to_json_dict()
     assert d["entries"][0][0] == [-2.0, 0.0]
     assert d["grid"] == {"N": 1, "M": 1, "p": 2}
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finop
+
+    env = {**os.environ, "PYTHONPATH": str(Path(finop.__file__).parents[1])}
+    code = "import finop, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,7 +1,11 @@
+import math
+import time
+
 import pytest
 
 from finop import SupernaturalNumber, classify, factorial_sn, is_car
-from finop.uhf import INF
+from finop.cli import main
+from finop.uhf import INF, _is_prime
 
 
 def sn(text):
@@ -77,3 +81,37 @@ def test_parse_and_str_roundtrip():
     assert sn("2^3 * 2^2").exponents == {2: 5}
     with pytest.raises(ValueError):
         sn("4^1")  # 4 is not prime
+
+
+def _trial_division(q):
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [q for q in range(1, 10**4 + 1) if _is_prime(q)] == [
+        q for q in range(1, 10**4 + 1) if _trial_division(q)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # composites that pass the strong test to every prime base up to 7 and 31
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(1000000000000037)
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    big = 3317044064679887385961981 + 2
+    with pytest.raises(ValueError, match=str(big)):
+        _is_prime(big)
+    with pytest.raises(ValueError, match=str(big)):
+        sn(f"{big}^inf")
+
+
+def test_classify_large_prime_base_is_fast(capsys):
+    start = time.perf_counter()
+    code = main(["classify", "--N", "1", "--M", "1", "--base", "1000000000000037^inf"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "1000000000000037^inf, CAR: false"
+    assert elapsed < 1.0
