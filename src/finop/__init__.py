@@ -21,8 +21,6 @@ from .digitmap import (
     apply_unitary_inverse,
     bphi,
     build_permutation,
-    cell_map,
-    cell_rank,
     expand_digits,
 )
 from .isomorphism import (
@@ -45,10 +43,9 @@ __all__ = [
     "RepMatrix", "Spectrum", "from_matrix", "matrix_exp", "spectrum",
     "to_matrix", "Ladder", "common_refine", "embed",
     "CellPermutation", "DigitExpansion", "apply_unitary",
-    "apply_unitary_inverse", "bphi", "build_permutation", "cell_map",
-    "cell_rank", "expand_digits", "ConjugationResult", "EvolutionReport",
-    "SpectralReport", "evolve_compare", "ode_to_pde", "pde_to_ode",
-    "SupernaturalNumber", "classify", "factorial_sn",
+    "apply_unitary_inverse", "bphi", "build_permutation", "expand_digits",
+    "ConjugationResult", "EvolutionReport", "SpectralReport", "evolve_compare",
+    "ode_to_pde", "pde_to_ode", "SupernaturalNumber", "classify", "factorial_sn",
     "is_car", "lower", "lower_fop", "parse_expression", "parse_fop",
     "print_expression",
 ]

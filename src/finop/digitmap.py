@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GridMismatchError, SizeLimitError
-from .grid import GridSpec
+from .grid import GridSpec, flatten_cell, unflatten_cell
 from .operators import GridVector
 
 DEFAULT_MAX_K = 2000
@@ -73,38 +73,15 @@ def expand_digits(x, N: int, M: int, depth: int) -> DigitExpansion:
     return DigitExpansion(x1, tuple(digits), depth, N, M, x - partial)
 
 
-def cell_map(i: int, d: int, N: int):
-    """Lexicographic unranking of d in {0..i^N - 1} to {0..i-1}^N."""
-    if i < 2:
-        raise ValueError("cell_map needs i >= 2")
-    if not 0 <= d < i**N:
-        raise ValueError(f"digit {d} outside 0..{i ** N - 1}")
-    coords = [0] * N
-    for a in range(N - 1, -1, -1):
-        coords[a] = d % i
-        d //= i
-    return tuple(coords)
-
-
-def cell_rank(i: int, coords) -> int:
-    """Inverse of cell_map."""
-    d = 0
-    for c in coords:
-        if not 0 <= c < i:
-            raise ValueError(f"coordinate {c} outside 0..{i - 1}")
-        d = d * i + c
-    return d
-
-
 def bphi(x, N: int, M: int, depth: int):
-    """Truncated digit-to-point map on [0, 1/M): sum of cell_map(i, x_i)/i!."""
+    """Truncated digit-to-point map on [0, 1/M): sum of unflatten_cell(x_i, i, N)/i!."""
     x = Fraction(x)
     if not 0 <= x < Fraction(1, M):
         raise ValueError(f"x={x} outside [0, 1/{M})")
     exp = expand_digits(x, N, M, depth)
     point = [Fraction(0)] * N
     for i, xi in enumerate(exp.digits, start=2):
-        cell = cell_map(i, xi, N)
+        cell = unflatten_cell(xi, i, N)
         for a in range(N):
             point[a] += Fraction(cell[a], math.factorial(i))
     return tuple(point)
@@ -156,14 +133,11 @@ def build_permutation(N: int, M: int, level: int) -> CellPermutation:
         exp = expand_digits(Fraction(k, K), N, M, level)
         coords = [0] * N
         for i, xi in enumerate(exp.digits, start=2):
-            cell = cell_map(i, xi, N)
+            cell = unflatten_cell(xi, i, N)
             w = pf // math.factorial(i)
             for a in range(N):
                 coords[a] += cell[a] * w
-        flat = 0
-        for c in coords:
-            flat = flat * pf + c
-        forward[k] = flat * M + exp.x1
+        forward[k] = flatten_cell(coords, pf) * M + exp.x1
     inverse = np.empty(K, dtype=np.int64)
     inverse[forward] = np.arange(K)
     if not np.array_equal(np.sort(forward), np.arange(K)):  # pragma: no cover

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParseError
-from .grid import GridSpec, StepFunction, all_cell_coords
+from .grid import GridSpec, StepFunction, box_index
 from .operators import FiniteOperator
 
 
@@ -489,26 +489,27 @@ def select_grid(expr, env, N: int, M: int) -> GridSpec:
 
 
 def rasterize(cdef: CoeffDef, grid: GridSpec) -> StepFunction:
-    """Evaluate a box-list coefficient on the grid (exact for aligned boxes)."""
-    coords = all_cell_coords(grid.p, grid.N)
-    mids = [Fraction(2 * c + 1, 2 * grid.p) for c in range(grid.p)]
+    """Evaluate a box-list coefficient on the grid by the midpoint rule.
+
+    A box covers the cells whose midpoints (2c+1)/(2p) lie in it, so the
+    result is exact for boxes aligned to the grid.
+    """
     vals = np.zeros((grid.num_cells, grid.M, grid.M), dtype=np.complex128)
     for box in cdef.boxes:
-        mask = np.ones(grid.num_cells, dtype=bool)
-        for a, (lo, hi) in enumerate(box.intervals):
-            axis_cover = np.array([lo <= mids[c] < hi for c in range(grid.p)])
-            mask &= axis_cover[coords[:, a]]
+        if len(box.intervals) != grid.N:
+            raise ValueError(f"coefficient {cdef.name!r} has a "
+                             f"{len(box.intervals)}-D box, N={grid.N}")
+        cells = box_index(grid.p, box.intervals)
         if cdef.mode == "sum":
-            vals[mask] += box.value
+            vals[cells] += box.value
         else:
-            vals[mask] = box.value
+            vals[cells] = box.value
     return StepFunction(grid, vals)
 
 
-def lower(expr, env, N: int, M: int, grid: GridSpec | None = None) -> FiniteOperator:
+def lower(expr, env, N: int, M: int) -> FiniteOperator:
     """Evaluate an AST to a FiniteOperator on the minimal common grid."""
-    if grid is None:
-        grid = select_grid(expr, env, N, M)
+    grid = select_grid(expr, env, N, M)
     cache = {}
 
     def coeff(name):
@@ -544,5 +545,5 @@ def lower(expr, env, N: int, M: int, grid: GridSpec | None = None) -> FiniteOper
 
 def lower_fop(f: FopFile):
     """Lower a parsed .fop file; returns (operator, grid)."""
-    grid = select_grid(f.expr, f.coeffs, f.N, f.M)
-    return lower(f.expr, f.coeffs, f.N, f.M, grid), grid
+    op = lower(f.expr, f.coeffs, f.N, f.M)
+    return op, op.grid

@@ -3,14 +3,15 @@
 The torus T^N is split into p^N half-open cells of side 1/p.  Cell indices
 are N-tuples with axis 0 most significant in the flat (lexicographic) order.
 All cell-index arithmetic lives here: other modules obtain flat indices from
-flatten_cell/unflatten_cell (one cell) or shift_index/parent_index (every
-cell at once) and never flatten coordinates themselves.
+flatten_cell/unflatten_cell (one cell) or shift_index/parent_index/box_index
+(many cells at once) and never flatten coordinates themselves.
 Step functions are matrix valued and constant on each cell; geometry is kept
 in exact rationals while matrix entries are complex doubles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -104,6 +105,18 @@ def parent_index(p: int, q: int, N: int) -> np.ndarray:
     if q % p != 0:
         raise GridMismatchError(f"p={p} does not divide q={q}")
     return _flat_index([np.arange(q, dtype=np.int64) // (q // p)] * N, p)
+
+
+def box_index(p: int, intervals) -> np.ndarray:
+    """Flat indices of the cells whose midpoint (2c+1)/(2p) lies in the box,
+    one half-open interval [lo, hi) per axis.
+
+    lo <= (2c+1)/(2p) < hi  exactly when  ceil(lo p - 1/2) <= c < ceil(hi p - 1/2).
+    """
+    half = Fraction(1, 2)
+    return _flat_index([np.arange(max(math.ceil(Fraction(lo) * p - half), 0),
+                                  min(math.ceil(Fraction(hi) * p - half), p), dtype=np.int64)
+                        for lo, hi in intervals], p)
 
 
 def cell_of_point(point, p: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digitmap import CellPermutation, build_permutation
+from .digitmap import CellPermutation, _check_size, build_permutation
 from .errors import GridMismatchError, RefinementHintError
 from .grid import GridSpec
 from .matrep import RepMatrix, Spectrum, from_matrix, matrix_exp, spectrum, to_matrix
@@ -22,6 +22,7 @@ from .operators import FiniteOperator, GridVector
 from .refinement import embed
 
 SPECTRUM_RTOL = 1e-8
+EVOLUTION_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,15 @@ def _level_for(p: int, level: int) -> int:
 def _conjugate(A: FiniteOperator, level: int) -> tuple[RepMatrix, RepMatrix, CellPermutation]:
     """Embed A on the level-n! grid and gather its matrix through the digit
     permutation; returns the embedded matrix B, the gathered 1D matrix
-    B[fwd][:, fwd] and the permutation."""
-    pf = _level_for(A.grid.p, level)
+    B[fwd][:, fwd] and the permutation.  The size cap is checked before
+    anything of size K is built."""
     N, M = A.grid.N, A.grid.M
+    K = M * math.factorial(level) ** N
+    _check_size(K, "matrix")
+    pf = _level_for(A.grid.p, level)
     B = to_matrix(embed(A, pf))
     P = build_permutation(N, M, level)
-    ode_grid = GridSpec(1, 1, M * pf**N)
-    return B, RepMatrix(ode_grid, B.entries[np.ix_(P.forward, P.forward)]), P
+    return B, RepMatrix(GridSpec(1, 1, K), B.entries[np.ix_(P.forward, P.forward)]), P
 
 
 def pde_to_ode(A: FiniteOperator, level: int) -> ConjugationResult:
@@ -140,11 +143,10 @@ class EvolutionReport:
         return list(zip(self.times, self.discrepancies))
 
 
-def evolve_compare(A: FiniteOperator, u0: GridVector, times, level: int,
-                   rtol: float = 1e-8) -> EvolutionReport:
+def evolve_compare(A: FiniteOperator, u0: GridVector, times, level: int) -> EvolutionReport:
     """Compare evolution downstairs vs. conjugated evolution upstairs.
 
-    Checks || P^-1 exp(t B_A) u0  -  exp(t B_ode) P^-1 u0 || <= rtol * ||u0||
+    Checks || P^-1 exp(t B_A) u0  -  exp(t B_ode) P^-1 u0 || <= EVOLUTION_RTOL * ||u0||
     for each requested time.
     """
     pf = math.factorial(level)
@@ -160,4 +162,4 @@ def evolve_compare(A: FiniteOperator, u0: GridVector, times, level: int,
         lhs = (matrix_exp(B, t).entries @ u)[fwd]
         rhs = matrix_exp(Bode, t).entries @ u[fwd]
         discrepancies.append(float(np.linalg.norm(lhs - rhs)))
-    return EvolutionReport(tuple(times), tuple(discrepancies), rtol * u0.norm())
+    return EvolutionReport(tuple(times), tuple(discrepancies), EVOLUTION_RTOL * u0.norm())

@@ -113,12 +113,10 @@ class FiniteOperator:
         shift = [0] * grid.N
         shift[axis - 1] = int(c)
         inv_h = 1.0 / float(h)
-        terms = {}
-        for s, w in (((0,) * grid.N, -inv_h), (tuple(shift), inv_h)):
-            key = _norm_shift(s, grid)
-            coeff = StepFunction.constant(grid, w * np.eye(grid.M))
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        return FiniteOperator(grid, terms)
+        return FiniteOperator(grid, {
+            (0,) * grid.N: StepFunction.constant(grid, -inv_h * np.eye(grid.M)),
+            tuple(shift): StepFunction.constant(grid, inv_h * np.eye(grid.M)),
+        })
 
     # -- algebra -----------------------------------------------------------
 

@@ -16,6 +16,8 @@ INF = float("inf")
 # (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# from_int trial-divides by d <= this bound only
+_TRIAL_DIVISION_LIMIT = 10**6
 
 
 def _is_prime(q: int) -> bool:
@@ -75,18 +77,29 @@ class SupernaturalNumber:
 
     @staticmethod
     def from_int(n: int) -> "SupernaturalNumber":
-        """Prime factorization of a positive integer."""
+        """Prime factorization of a positive integer.
+
+        Trial division runs only up to _TRIAL_DIVISION_LIMIT; the cofactor
+        left after it must be 1 or prime, or n is refused.
+        """
         if n < 1:
             raise ValueError("from_int needs n >= 1")
         exps = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
+        m, d = n, 2
+        while d <= _TRIAL_DIVISION_LIMIT and d * d <= m:
+            while m % d == 0:
                 exps[d] = exps.get(d, 0) + 1
-                n //= d
+                m //= d
             d += 1
-        if n > 1:
-            exps[n] = exps.get(n, 0) + 1
+        if m > 1:
+            try:
+                prime = _is_prime(m)
+            except ValueError as exc:
+                raise ValueError(f"cannot factor {n}: {exc}") from None
+            if not prime:
+                raise ValueError(f"cannot factor {n}: the cofactor {m} has no prime "
+                                 f"factor up to {_TRIAL_DIVISION_LIMIT} and is not prime")
+            exps[m] = 1
         return SupernaturalNumber(exponents=exps)
 
     @staticmethod

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ def test_max_k_cap(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "repr", str(f))
     assert code == 2
     assert "FINOP_MAX_K" in err
+
+
+def test_evolve_and_conjugate_over_the_cap_exit_2(capsys, monkeypatch):
+    # K = 6!^2 = 518400 is over the default cap; no K x K matrix is built
+    monkeypatch.delenv("FINOP_MAX_K", raising=False)
+    heat2d = str(Path(__file__).resolve().parents[1] / "demos" / "heat2d.fop")
+    for argv in (("evolve", heat2d, "--level", "6"), ("conjugate", heat2d, "--level", "6")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "FINOP_MAX_K" in err
 
 
 def test_max_k_not_an_integer(tmp_path, capsys, monkeypatch):

@@ -12,9 +12,9 @@ from finop import (
     apply_unitary_inverse,
     bphi,
     build_permutation,
-    cell_map,
-    cell_rank,
     expand_digits,
+    flatten_cell,
+    unflatten_cell,
 )
 
 
@@ -66,14 +66,15 @@ def test_digits_grid_points_terminate_exactly():
 
 
 def test_cell_map_examples():
-    assert [cell_map(2, d, 2) for d in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert cell_map(3, 2, 1) == (2,)
+    # the digit x_i names a cell of {0..i-1}^N through the grid's flat order
+    assert [unflatten_cell(d, 2, 2) for d in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert unflatten_cell(2, 3, 1) == (2,)
     for i in range(2, 6):
         for N in range(1, 4):
             for d in range(i**N):
-                assert cell_rank(i, cell_map(i, d, N)) == d
+                assert flatten_cell(unflatten_cell(d, i, N), i) == d
     with pytest.raises(ValueError):
-        cell_map(2, 4, 2)
+        unflatten_cell(4, 2, 2)
 
 
 def test_bphi():

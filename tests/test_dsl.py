@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from finop import (
     FiniteOperator,
+    GridSpec,
     ParseError,
     StepFunction,
     lower,
@@ -13,6 +15,7 @@ from finop import (
     parse_fop,
     print_expression,
     to_matrix,
+    unflatten_cell,
 )
 from finop.dsl import (
     Adjoint,
@@ -133,6 +136,43 @@ def test_rasterize_matches_midpoint_oracle():
                 if all(lo <= m < hi for m, (lo, hi) in zip(mid, box.intervals)):
                     expected = box.value[0, 0]
             assert S.value_at(mid)[0, 0] == expected
+
+
+@st.composite
+def box_sets(draw):
+    """(CoeffDef, GridSpec) with boxes on denominators up to 15 and a grid
+    they are in general not aligned to."""
+    N = draw(st.integers(1, 3))
+    grid = GridSpec(N, draw(st.integers(1, 2)), draw(st.integers(1, 14 if N < 3 else 7)))
+    ends = st.lists(st.fractions(0, 1, max_denominator=15), min_size=2, max_size=2,
+                    unique=True).map(sorted).map(tuple)
+    boxes = []
+    for _ in range(draw(st.integers(0, 4))):
+        intervals = tuple(draw(ends) for _ in range(N))
+        entries = draw(st.lists(st.integers(-3, 3), min_size=2 * grid.M**2,
+                                max_size=2 * grid.M**2))
+        value = np.array(entries[::2]) + 1j * np.array(entries[1::2])
+        boxes.append(Box(intervals, value.reshape(grid.M, grid.M)))
+    mode = draw(st.sampled_from(["paint", "sum"]))
+    return CoeffDef("c", tuple(boxes), mode), grid
+
+
+@given(box_sets())
+def test_rasterize_matches_per_cell_midpoint_oracle(case):
+    cdef, grid = case
+    expected = np.zeros((grid.num_cells, grid.M, grid.M), dtype=complex)
+    for flat in range(grid.num_cells):
+        mid = [Fraction(2 * c + 1, 2 * grid.p) for c in unflatten_cell(flat, grid.p, grid.N)]
+        for box in cdef.boxes:
+            if all(lo <= m < hi for m, (lo, hi) in zip(mid, box.intervals)):
+                expected[flat] = expected[flat] + box.value if cdef.mode == "sum" else box.value
+    assert np.array_equal(rasterize(cdef, grid).values, expected)
+
+
+def test_rasterize_rejects_box_of_wrong_dimension():
+    cdef = CoeffDef("c", (Box(((Fraction(0), Fraction(1)),), np.eye(1)),))
+    with pytest.raises(ValueError, match="1-D box, N=2"):
+        rasterize(cdef, GridSpec(2, 1, 2))
 
 
 def test_lower_examples():

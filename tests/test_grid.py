@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finop import GridSpec, GridMismatchError, StepFunction, flatten_cell, unflatten_cell
-from finop.grid import parent_index, shift_index
+from finop.grid import box_index, parent_index, shift_index
 
 from conftest import rand_step
 
@@ -47,6 +47,17 @@ def test_parent_index_matches_scalar_oracle(p, f, N):
     q = p * f
     expected = [flatten_cell([c // f for c in unflatten_cell(r, q, N)], p) for r in range(q**N)]
     assert parent_index(p, q, N).tolist() == expected
+
+
+def test_box_index_examples():
+    # midpoints 1/8, 3/8, 5/8, 7/8: [1/3, 1) holds the last three
+    assert box_index(4, [(Fraction(1, 3), Fraction(1))]).tolist() == [1, 2, 3]
+    # [1/3, 2/5) holds neither midpoint 1/4 nor 3/4
+    assert box_index(2, [(Fraction(1, 3), Fraction(2, 5))]).tolist() == []
+    # axis 0 midpoints 1/6, 1/2, 5/6: the half-open [0, 1/2) keeps only the first
+    half = (Fraction(0), Fraction(1, 2))
+    assert box_index(3, [half, (Fraction(1, 2), Fraction(1))]).tolist() == [1, 2]
+    assert box_index(3, [(Fraction(1, 2), Fraction(1, 2)), half]).tolist() == []
 
 
 def test_index_kernel_rejects_bad_input():

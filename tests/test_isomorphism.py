@@ -11,6 +11,7 @@ from finop import (
     GridSpec,
     GridVector,
     RefinementHintError,
+    SizeLimitError,
     embed,
     evolve_compare,
     matrix_exp,
@@ -128,6 +129,19 @@ def test_evolve_compare_does_no_spectral_work(rng, monkeypatch):
     A = rand_op(rng, 2, 1, 2)
     rep = evolve_compare(A, rand_vec(rng, 2, 1, 6), [0.1, 1.0], 3)
     assert len(rep.discrepancies) == 2
+
+
+def test_size_cap_is_checked_before_any_matrix_is_built(rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("to_matrix called over the size cap")
+
+    monkeypatch.setattr(finop.isomorphism, "to_matrix", forbidden)
+    monkeypatch.setenv("FINOP_MAX_K", "100")
+    A = rand_op(rng, 2, 1, 2)
+    with pytest.raises(SizeLimitError):
+        evolve_compare(A, rand_vec(rng, 2, 1, 24), [0.1], 4)  # K = 576
+    with pytest.raises(SizeLimitError):
+        pde_to_ode(A, 4)
 
 
 def test_random_1d_operator_back_to_pde_keeps_spectrum(rng):

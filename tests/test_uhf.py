@@ -19,6 +19,19 @@ def test_from_int():
         SupernaturalNumber.from_int(0)
 
 
+def test_from_int_large_prime_is_fast():
+    start = time.perf_counter()
+    assert SupernaturalNumber.from_int(1000000000000037).exponents == {1000000000000037: 1}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_from_int_refuses_two_primes_above_the_trial_bound():
+    n = 1000003 * 1000033  # both prime, both above the trial-division bound
+    assert _is_prime(1000003) and _is_prime(1000033)
+    with pytest.raises(ValueError, match=str(n)):
+        SupernaturalNumber.from_int(n)
+
+
 def test_mul_absorption():
     assert (sn("2^inf") * sn("2^5")).exponents == {2: INF}
     universal = SupernaturalNumber(universal=True)
