@@ -32,7 +32,8 @@ print("bphi(3/4) in 2D:", bphi(Fraction(3, 4), N=2, M=1, depth=4))
 P = build_permutation(N=2, M=1, level=2)
 print("level 2, N=2: size", P.size, "forward", P.forward)
 print("source grid", P.source_grid, " target grid", P.target_grid)
-U = P.matrix()
+U = np.zeros((P.size, P.size))
+U[P.forward, np.arange(P.size)] = 1.0  # (U u)[forward[k]] = u[k]
 print("U is a permutation matrix:",
       bool(np.array_equal(U @ U.T, np.eye(P.size))))
 

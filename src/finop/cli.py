@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .digitmap import DEFAULT_MAX_K, _check_size, expand_digits
+from .digitmap import DEFAULT_MAX_K, _check_size, build_permutation, expand_digits
 from .errors import FinopError
-from .grid import GridSpec
+from .grid import GridSpec, complex_pairs
 from .isomorphism import SPECTRUM_RTOL, evolve_compare, pde_to_ode
-from .matrep import spectrum, to_matrix
+from .matrep import RepMatrix, from_matrix, spectrum, to_matrix
 from .operators import FiniteOperator, GridVector
 from .refinement import embed
 from .sampling import random_operator, random_vector
@@ -50,26 +50,22 @@ def _emit(args, payload: dict, table_lines):
 
 def cmd_repr(args) -> int:
     op, grid = _load_operator(args.file)
-    B = to_matrix(op)
     if args.grid_info:
         print(f"N={grid.N} M={grid.M} p={grid.p} K={grid.dim}")
         return 0
+    B = to_matrix(op)
     if args.format == "csv":
         sys.stdout.write(B.to_csv())
-        return 0
-    if args.format == "json":
-        print(json.dumps({"version": __version__, **B.to_json_dict()},
-                         indent=2, sort_keys=True))
-        return 0
-    for row in B.entries:
-        print("  ".join(f"{z.real:+.6g}{z.imag:+.6g}i" for z in row))
+    else:
+        _emit(args, B.to_json_dict(),
+              ("  ".join(f"{z.real:+.6g}{z.imag:+.6g}i" for z in row) for row in B.entries))
     return 0
 
 
 def cmd_spectrum(args) -> int:
     op, _ = _load_operator(args.file)
     eig = spectrum(to_matrix(op)).eigenvalues
-    payload = {"eigenvalues": [[z.real, z.imag] for z in eig]}
+    payload = {"eigenvalues": complex_pairs(eig)}
     table = [f"{z.real:+.12g}  {z.imag:+.12g}i" for z in eig]
     _emit(args, payload, table)
     return 0
@@ -103,12 +99,9 @@ def cmd_evolve(args) -> int:
         u0 = random_vector(rng, fine)
     report = evolve_compare(op, u0, times, args.level)
     print("t,discrepancy,pass")
-    ok = True
     for t, d in report.rows():
-        passed = d <= report.tolerance
-        ok &= passed
-        print(f"{t},{d!r},{'PASS' if passed else 'FAIL'}")
-    return 0 if ok else 1
+        print(f"{t},{d!r},{'PASS' if d <= report.tolerance else 'FAIL'}")
+    return 0 if report.passed else 1
 
 
 def cmd_classify(args) -> int:
@@ -143,8 +136,6 @@ SPECTRUM_CHECK_FRAMES = ((2, 1, 3), (2, 2, 2))
 
 def _verify_checks(seed: int):
     """Randomized invariant suite; yields (name, passed, detail)."""
-    from .digitmap import build_permutation
-
     rng = np.random.default_rng(seed)
 
     def rand_pair(grid):
@@ -164,7 +155,6 @@ def _verify_checks(seed: int):
                         np.linalg.norm(to_matrix(A.adjoint()).entries - BA.conj().T))
     yield "representation laws (+, o, *)", worst <= 1e-12, f"max deviation {worst:.2e}"
 
-    from .matrep import RepMatrix, from_matrix
     ok = True
     for grid in grids:
         A = random_operator(rng, grid)
@@ -202,19 +192,15 @@ def _verify_checks(seed: int):
 def cmd_verify(args) -> int:
     results = list(_verify_checks(args.seed))
     ok = all(passed for _, passed, _ in results)
-    if args.format == "json":
-        payload = {
-            "version": __version__, "seed": args.seed,
-            "checks": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in results],
-            "passed": bool(ok),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"verify (seed={args.seed})")
-        width = max(len(n) for n, _, _ in results)
-        for name, passed, detail in results:
-            print(f"  {name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
-        print(f"overall: {'PASS' if ok else 'FAIL'}")
+    payload = {
+        "seed": args.seed, "passed": bool(ok),
+        "checks": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in results],
+    }
+    width = max(len(n) for n, _, _ in results)
+    table = [f"verify (seed={args.seed})",
+             *(f"  {n:<{width}}  {'PASS' if p else 'FAIL'}  {d}" for n, p, d in results),
+             f"overall: {'PASS' if ok else 'FAIL'}"]
+    _emit(args, payload, table)
     return 0 if ok else 1
 
 
@@ -276,10 +262,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FinopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (FinopError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

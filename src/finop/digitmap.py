@@ -113,13 +113,6 @@ class CellPermutation:
     def target_grid(self) -> GridSpec:
         return GridSpec(self.N, self.M, math.factorial(self.level))
 
-    def matrix(self) -> np.ndarray:
-        """K x K 0/1 matrix P with (P u)[forward[k]] = u[k]."""
-        K = self.size
-        P = np.zeros((K, K))
-        P[self.forward, np.arange(K)] = 1.0
-        return P
-
 
 def build_permutation(N: int, M: int, level: int) -> CellPermutation:
     """Materialize the digit unitary at a finite level as a permutation."""
@@ -149,9 +142,7 @@ def apply_unitary(P: CellPermutation, u: GridVector) -> GridVector:
     """Map a 1D scalar grid vector to the (N, M) side; exact isometry."""
     if u.grid != P.source_grid:
         raise GridMismatchError(f"vector grid {u.grid} != expected {P.source_grid}")
-    out = np.empty_like(u.values)
-    out[P.forward] = u.values
-    return GridVector(P.target_grid, out)
+    return GridVector(P.target_grid, u.values[P.inverse])
 
 
 def apply_unitary_inverse(P: CellPermutation, v: GridVector) -> GridVector:

@@ -6,7 +6,8 @@ All cell-index arithmetic lives here: other modules obtain flat indices from
 flatten_cell/unflatten_cell (one cell) or shift_index/parent_index/box_index
 (many cells at once) and never flatten coordinates themselves.
 Step functions are matrix valued and constant on each cell; geometry is kept
-in exact rationals while matrix entries are complex doubles.
+in exact rationals while matrix entries are complex doubles, written out as
+[re, im] pairs by complex_pairs and read back by from_complex_pairs.
 """
 
 from __future__ import annotations
@@ -128,6 +129,22 @@ def cell_of_point(point, p: int):
     return tuple(coords)
 
 
+def complex_pairs(a) -> list:
+    """Nested lists shaped like a complex array, each entry as [re, im]: the one
+    wire format of complex data, read through a float view, without a copy."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+
+
+def from_complex_pairs(pairs) -> np.ndarray:
+    """Exact inverse of complex_pairs, read through a float view so that
+    signed zeros survive."""
+    arr = np.array(pairs, dtype=np.float64)
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"expected [re, im] pairs, got shape {arr.shape}")
+    return arr.view(np.complex128)[..., 0]
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Matrix-valued function on T^N constant on each cell of the 1/p grid.
@@ -227,17 +244,8 @@ class StepFunction:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
-        vals = [
-            [[[float(z.real), float(z.imag)] for z in row] for row in cell]
-            for cell in self.values
-        ]
-        return {"N": self.grid.N, "M": self.grid.M, "p": self.grid.p, "values": vals}
+        return {**self.grid.to_json_dict(), "values": complex_pairs(self.values)}
 
     @staticmethod
     def from_json_dict(d) -> "StepFunction":
-        grid = GridSpec.from_json_dict(d)
-        vals = np.array(
-            [[[complex(re, im) for re, im in row] for row in cell] for cell in d["values"]],
-            dtype=np.complex128,
-        )
-        return StepFunction(grid, vals)
+        return StepFunction(GridSpec.from_json_dict(d), from_complex_pairs(d["values"]))

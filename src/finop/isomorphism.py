@@ -10,13 +10,13 @@ bijection converts back to shift-coefficient form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .digitmap import CellPermutation, _check_size, build_permutation
 from .errors import GridMismatchError, RefinementHintError
-from .grid import GridSpec
+from .grid import GridSpec, complex_pairs
 from .matrep import RepMatrix, Spectrum, from_matrix, matrix_exp, spectrum, to_matrix
 from .operators import FiniteOperator, GridVector
 from .refinement import embed
@@ -47,8 +47,8 @@ class SpectralReport:
             "max_deviation": self.max_deviation,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "source_spectrum": [[z.real, z.imag] for z in self.source.eigenvalues],
-            "target_spectrum": [[z.real, z.imag] for z in self.target.eigenvalues],
+            "source_spectrum": complex_pairs(self.source.eigenvalues),
+            "target_spectrum": complex_pairs(self.target.eigenvalues),
         }
 
 
@@ -58,7 +58,6 @@ class ConjugationResult:
     level: int
     permutation: CellPermutation
     spectral_report: SpectralReport
-    source_matrix: RepMatrix = field(repr=False)
 
     @property
     def K(self) -> int:
@@ -115,7 +114,7 @@ def pde_to_ode(A: FiniteOperator, level: int) -> ConjugationResult:
     sp_src = Spectrum(np.repeat(spectrum(A_mat).eigenvalues, copies))
     sp_tgt = spectrum(Bode)
     report = SpectralReport(sp_src, sp_tgt, sp_src.max_deviation(sp_tgt), A_mat.norm())
-    return ConjugationResult(from_matrix(Bode), level, P, report, B)
+    return ConjugationResult(from_matrix(Bode), level, P, report)
 
 
 def ode_to_pde(B_op: FiniteOperator, N: int, M: int, level: int) -> FiniteOperator:

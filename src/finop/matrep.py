@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FinopError
-from .grid import GridSpec, StepFunction, shift_index
+from .grid import GridSpec, StepFunction, complex_pairs, shift_index
 from .operators import FiniteOperator
 
 
@@ -38,23 +38,12 @@ class RepMatrix:
         return float(np.linalg.norm(self.entries, ord=2))
 
     def to_json_dict(self):
-        return {
-            "grid": self.grid.to_json_dict(),
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
+        return {"grid": self.grid.to_json_dict(), "entries": complex_pairs(self.entries)}
 
     def to_csv(self) -> str:
         """Interleaved re/im columns, one matrix row per line."""
-        lines = []
-        for row in self.entries:
-            cells = []
-            for z in row:
-                cells.append(repr(float(z.real)))
-                cells.append(repr(float(z.imag)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(repr, itertools.chain.from_iterable(complex_pairs(row))))
+                       + "\n" for row in self.entries)
 
 
 @dataclass(frozen=True)

@@ -20,3 +20,10 @@ def rand_step(rng, N, M, p):
 
 def rand_vec(rng, N, M, p):
     return random_vector(rng, GridSpec(N, M, p))
+
+
+def perm_matrix(P):
+    """Dense K x K 0/1 oracle of a CellPermutation: (Pm u)[forward[k]] = u[k]."""
+    Pm = np.zeros((P.size, P.size))
+    Pm[P.forward, np.arange(P.size)] = 1.0
+    return Pm

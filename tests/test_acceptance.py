@@ -162,13 +162,16 @@ def test_criterion_4_digit_machinery():
 def test_criterion_5_theorem1_transport():
     rng = np.random.default_rng(5)
     start = time.monotonic()
-    cases = [(2, M, 2) for M in (1, 2)] * 50 + [(2, 1, 3), (2, 2, 3)] * 10
-    assert len(cases) == 120
+    cases = ([(2, M, 2) for M in (1, 2)] * 50 + [(2, 1, 3), (2, 2, 3)] * 10
+             + [(1, 2, 3), (3, 1, 3)] * 10)
+    assert len(cases) == 140
     for N, M, n in cases:
         pf = math.factorial(n)
         A = random_operator(rng, GridSpec(N, M, 2))
         res = pde_to_ode(A, n)
         assert res.ode.grid == GridSpec(1, 1, M * pf**N)
+        if (N, M, n) != (2, 1, 2):  # the one frame whose permutation is the identity
+            assert not np.array_equal(res.permutation.forward, np.arange(res.K))
         B = to_matrix(embed(A, pf))
         tol = 1e-8 * max(np.linalg.norm(B.entries), 1.0)
         assert res.spectral_report.max_deviation <= tol
@@ -184,18 +187,26 @@ def test_criterion_5_theorem1_transport():
         assert (s_pde > 1e-10) == (s_ode > 1e-10)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    report(5, "1D reduction transport", f"120 operators, {elapsed:.2f}s")
+    report(5, "1D reduction transport", f"{len(cases)} operators, {elapsed:.2f}s")
 
 
 def test_criterion_6_evolution():
     rng = np.random.default_rng(6)
-    grid = GridSpec(2, 1, 2)
-    for _ in range(20):
-        A = random_operator(rng, grid)
-        u0 = random_vector(rng, grid)
-        rep = evolve_compare(A, u0, [0.1, 1.0], 2)
-        assert all(d <= 1e-8 * u0.norm() for d in rep.discrepancies)
-    report(6, "evolution correspondence", "20 operators, t in {0.1, 1.0}")
+    frames = [(2, 1, 2), (2, 1, 3), (1, 2, 3), (2, 2, 2)]
+    worst = 0.0
+    for N, M, n in frames:
+        if (N, M, n) != (2, 1, 2):  # the one frame whose permutation is the identity
+            P = build_permutation(N, M, n)
+            assert not np.array_equal(P.forward, np.arange(P.size))
+        for _ in range(20):
+            A = random_operator(rng, GridSpec(N, M, 2))
+            u0 = random_vector(rng, GridSpec(N, M, math.factorial(n)))
+            rep = evolve_compare(A, u0, [0.1, 1.0], n)
+            assert all(d <= 1e-8 * u0.norm() for d in rep.discrepancies)
+            worst = max(worst, max(rep.discrepancies) / u0.norm())
+    report(6, "evolution correspondence",
+           f"{20 * len(frames)} operators over {len(frames)} frames, t in {{0.1, 1.0}}, "
+           f"worst relative discrepancy {worst:.1e}")
 
 
 def test_criterion_7_uhf_classification():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import finop.cli
 from finop.cli import main
 
 
@@ -48,6 +49,16 @@ def test_repr_derivative_json_csv_and_grid_info(deriv_file, capsys):
     code, out, _ = run(capsys, "repr", deriv_file, "--format", "csv")
     assert out.splitlines()[0] == "-2.0,0.0,2.0,0.0"
     code, out, _ = run(capsys, "repr", deriv_file, "--grid-info")
+    assert out.strip() == "N=1 M=1 p=2 K=2"
+
+
+def test_repr_grid_info_builds_no_matrix(deriv_file, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("to_matrix called for --grid-info")
+
+    monkeypatch.setattr(finop.cli, "to_matrix", forbidden)
+    code, out, _ = run(capsys, "repr", deriv_file, "--grid-info")
+    assert code == 0
     assert out.strip() == "N=1 M=1 p=2 K=2"
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finop import GridSpec, GridMismatchError, StepFunction, flatten_cell, unflatten_cell
-from finop.grid import box_index, parent_index, shift_index
+from finop.grid import box_index, complex_pairs, from_complex_pairs, parent_index, shift_index
 
 from conftest import rand_step
 
@@ -163,6 +164,21 @@ def test_supnorm():
 
 def test_json_roundtrip(rng):
     f = rand_step(rng, 2, 2, 2)
-    back = StepFunction.from_json_dict(f.to_json_dict())
-    assert back.grid == f.grid
-    assert np.array_equal(back.values, f.values)
+    vals = f.values.copy()
+    vals[0, 0, 0] = complex(-0.0, -0.0)
+    vals[0, 0, 1] = complex(-0.0, 1.5)
+    vals[3, 1, 0] = complex(2.5, -0.0)
+    for g in (f, StepFunction(f.grid, vals)):
+        back = StepFunction.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
+        assert back.grid == g.grid
+        assert back.values.tobytes() == g.values.tobytes()
+
+
+def test_complex_pairs_codec():
+    a = np.array([[1 + 2j, -0.0 - 0.0j], [3.5, -1j]])
+    assert complex_pairs(a) == [[[1.0, 2.0], [-0.0, -0.0]], [[3.5, 0.0], [0.0, -1.0]]]
+    for x in (a, a[0], a.reshape(1, 2, 2, 1)):
+        back = from_complex_pairs(complex_pairs(x))
+        assert back.shape == x.shape and back.tobytes() == x.tobytes()
+    with pytest.raises(ValueError):
+        from_complex_pairs([[1.0, 2.0, 3.0]])

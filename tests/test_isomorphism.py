@@ -21,7 +21,7 @@ from finop import (
     to_matrix,
 )
 
-from conftest import rand_op, rand_vec
+from conftest import perm_matrix, rand_op, rand_vec
 
 
 def test_identity_conjugates_to_identity():
@@ -66,7 +66,7 @@ def test_permutation_similarity_is_definitional(rng, N, M, level):
     res = pde_to_ode(A, level)
     P = res.permutation
     assert not np.array_equal(P.forward, np.arange(P.size))
-    Pm = P.matrix()  # dense 0/1 oracle for the index gathers
+    Pm = perm_matrix(P)  # dense 0/1 oracle for the index gathers
     B = to_matrix(embed(A, math.factorial(level))).entries
     Bode = to_matrix(res.ode).entries
     assert np.array_equal(Bode, Pm.T @ B @ Pm)
@@ -203,8 +203,8 @@ def test_evolve_compare_matches_dense_oracle(rng):
     u0 = rand_vec(rng, 2, 1, 6)
     rep = evolve_compare(A, u0, [0.1, 1.0], 3)
     res = pde_to_ode(A, 3)
-    Pm = res.permutation.matrix()
-    B, Bode, u = res.source_matrix, to_matrix(res.ode), u0.values
+    Pm = perm_matrix(res.permutation)
+    B, Bode, u = to_matrix(embed(A, 6)), to_matrix(res.ode), u0.values
     expected = tuple(
         float(np.linalg.norm(Pm.T @ (matrix_exp(B, t).entries @ u)
                              - matrix_exp(Bode, t).entries @ (Pm.T @ u)))
