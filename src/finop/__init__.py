@@ -12,7 +12,7 @@ from .errors import (
 )
 from .grid import GridSpec, StepFunction, flatten_cell, unflatten_cell
 from .operators import FiniteOperator, GridVector, build_pde
-from .matrep import RepMatrix, Spectrum, from_matrix, matrix_exp, spectrum, to_matrix
+from .matrep import RepMatrix, Spectrum, from_matrix, spectrum, to_matrix
 from .refinement import Ladder, common_refine, embed
 from .digitmap import (
     CellPermutation,
@@ -40,8 +40,8 @@ __all__ = [
     "FinopError", "GridMismatchError", "ParseError", "RefinementHintError",
     "SizeLimitError", "GridSpec", "StepFunction", "flatten_cell",
     "unflatten_cell", "FiniteOperator", "GridVector", "build_pde",
-    "RepMatrix", "Spectrum", "from_matrix", "matrix_exp", "spectrum",
-    "to_matrix", "Ladder", "common_refine", "embed",
+    "RepMatrix", "Spectrum", "from_matrix", "spectrum", "to_matrix",
+    "Ladder", "common_refine", "embed",
     "CellPermutation", "DigitExpansion", "apply_unitary",
     "apply_unitary_inverse", "bphi", "build_permutation", "expand_digits",
     "ConjugationResult", "EvolutionReport", "SpectralReport", "evolve_compare",

@@ -7,6 +7,8 @@ import pytest
 import finop.cli
 from finop.cli import main
 
+from conftest import ANTI_DIFFUSIVE_HEAT2D
+
 
 @pytest.fixture
 def deriv_file(tmp_path):
@@ -173,3 +175,27 @@ def test_verify_spectrum_frames_are_not_identity_permutations():
     for frame in SPECTRUM_CHECK_FRAMES:
         P = build_permutation(*frame)
         assert not np.array_equal(P.forward, np.arange(P.size)), frame
+
+
+def test_evolve_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(finop.cli.__file__).parents[1])}
+    code = ("import sys, finop.cli; "
+            "code = finop.cli.main(['evolve', 'demos/heat2d.fop', '--level', '3']); "
+            "assert code == 0 and 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("level", ["3", "4"])
+def test_evolve_anti_diffusive_heat_passes_with_zero_discrepancy(tmp_path, capsys, level):
+    # dense expm rounding, about eps ||exp(tB)||, used to fail this check
+    f = tmp_path / "heat.fop"
+    f.write_text(ANTI_DIFFUSIVE_HEAT2D)
+    code, out, _ = run(capsys, "evolve", str(f), "--level", level, "--times", "0.1,1,10")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["0.0"] * 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from finop import (
     SizeLimitError,
     embed,
     evolve_compare,
-    matrix_exp,
     ode_to_pde,
     pde_to_ode,
     spectrum,
@@ -133,9 +133,10 @@ def test_evolve_compare_does_no_spectral_work(rng, monkeypatch):
 
 def test_size_cap_is_checked_before_any_matrix_is_built(rng, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("to_matrix called over the size cap")
+        raise AssertionError("K-sized work started over the size cap")
 
     monkeypatch.setattr(finop.isomorphism, "to_matrix", forbidden)
+    monkeypatch.setattr(finop.isomorphism, "shift_rows", forbidden)
     monkeypatch.setenv("FINOP_MAX_K", "100")
     A = rand_op(rng, 2, 1, 2)
     with pytest.raises(SizeLimitError):
@@ -198,19 +199,54 @@ def test_evolve_zero_time_and_kernel():
     assert np.all(lap.apply(const).values == 0)
 
 
-def test_evolve_compare_matches_dense_oracle(rng):
-    A = rand_op(rng, 2, 1, 2)
-    u0 = rand_vec(rng, 2, 1, 6)
-    rep = evolve_compare(A, u0, [0.1, 1.0], 3)
-    res = pde_to_ode(A, 3)
-    Pm = perm_matrix(res.permutation)
-    B, Bode, u = to_matrix(embed(A, 6)), to_matrix(res.ode), u0.values
-    expected = tuple(
-        float(np.linalg.norm(Pm.T @ (matrix_exp(B, t).entries @ u)
-                             - matrix_exp(Bode, t).entries @ (Pm.T @ u)))
-        for t in (0.1, 1.0)
-    )
-    assert rep.discrepancies == expected
+def _dense(cols, vals):
+    K = len(cols)
+    out = np.zeros((K, K), dtype=np.complex128)
+    out[np.arange(K)[:, None], cols] += vals
+    return out
+
+
+def test_evolve_compare_matches_dense_oracle(rng, monkeypatch):
+    # the rows evolve_compare evolves are B and Pm^T B Pm bit for bit, and both
+    # sides do the same floating-point work, so the discrepancy is exactly 0
+    evolved = []
+    action = finop.isomorphism.expm_action
+
+    def recorded(cols, vals, u, t, plan):
+        evolved.append((cols, vals))
+        return action(cols, vals, u, t, plan)
+
+    monkeypatch.setattr(finop.isomorphism, "expm_action", recorded)
+    for N, M, level in FRAMES:
+        A = rand_op(rng, N, M, 2)
+        evolved.clear()
+        rep = evolve_compare(A, rand_vec(rng, N, M, math.factorial(level)), [0.1, 1.0], level)
+        res = pde_to_ode(A, level)
+        Pm = perm_matrix(res.permutation)
+        B = to_matrix(embed(A, math.factorial(level))).entries
+        ode = to_matrix(res.ode).entries
+        assert np.array_equal(ode, Pm.T @ B @ Pm)
+        assert len(evolved) == 4
+        for k, (cols, vals) in enumerate(evolved):
+            assert np.array_equal(_dense(cols, vals), B if k % 2 == 0 else ode)
+        assert rep.discrepancies == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("N,M,level", FRAMES)
+def test_evolve_compare_fails_an_inconsistent_conjugation(rng, monkeypatch, N, M, level):
+    build = finop.isomorphism.build_permutation
+
+    def swapped(*args):
+        P = build(*args)
+        inverse = P.inverse.copy()
+        inverse[[0, 1]] = inverse[[1, 0]]
+        return dataclasses.replace(P, inverse=inverse)
+
+    monkeypatch.setattr(finop.isomorphism, "build_permutation", swapped)
+    A = rand_op(rng, N, M, 2)
+    rep = evolve_compare(A, rand_vec(rng, N, M, math.factorial(level)), [0.1, 1.0], level)
+    assert not rep.passed
+    assert all(d > rep.tolerance for d in rep.discrepancies)
 
 
 def test_evolve_random(rng):

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ from finop import (
     GridSpec,
     RepMatrix,
     StepFunction,
+    embed,
     from_matrix,
-    matrix_exp,
+    lower_fop,
+    parse_fop,
     spectrum,
     to_matrix,
 )
 
-from conftest import rand_op
+from conftest import ANTI_DIFFUSIVE_HEAT2D, matrix_exp, rand_op
+from finop.matrep import expm_action, shift_rows, taylor_plan
 
 
 def deriv(p, axis=1, h=None, N=1, M=1):
@@ -105,6 +110,46 @@ def test_matrix_exp():
         e = np.exp(-4.0 * t)
         expected = 0.5 * np.array([[1 + e, 1 - e], [1 - e, 1 + e]])
         assert np.allclose(matrix_exp(B, t).entries, expected, rtol=1e-10)
+
+
+def action(A, u, t):
+    cols, vals = shift_rows(A)
+    return expm_action(cols, vals, u, t, taylor_plan(cols, vals, t))
+
+
+def assert_action_matches_oracle(A, u, t):
+    got = action(A, u, t)
+    want = matrix_exp(to_matrix(A), t).entries @ u
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N,M,level", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_expm_action_matches_dense_oracle(rng, N, M, level, t):
+    A = embed(rand_op(rng, N, M, 2), math.factorial(level))
+    u = rng.standard_normal(A.grid.dim) + 1j * rng.standard_normal(A.grid.dim)
+    assert_action_matches_oracle(A, u, t)
+
+
+@pytest.mark.parametrize("source", ["demo", "anti-diffusive"])
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+def test_expm_action_on_heat2d_matches_dense_oracle(rng, source, t):
+    text = (Path(__file__).resolve().parents[1] / "demos" / "heat2d.fop").read_text() \
+        if source == "demo" else ANTI_DIFFUSIVE_HEAT2D
+    op, _ = lower_fop(parse_fop(text))
+    A = embed(op, 24)  # level 4, K = 576
+    assert_action_matches_oracle(A, rng.standard_normal(A.grid.dim), t)
+
+
+def test_expm_action_at_zero_time_and_without_terms(rng):
+    A = rand_op(rng, 2, 2, 3)
+    u = rng.standard_normal(A.grid.dim) + 1j * rng.standard_normal(A.grid.dim)
+    u[0] = -0.0
+    assert action(A, u, 0.0).tobytes() == u.tobytes()
+    zero = FiniteOperator.zero(GridSpec(2, 2, 3))
+    cols, vals = shift_rows(zero)
+    assert cols.shape == vals.shape == (zero.grid.dim, 0)
+    assert np.array_equal(action(zero, u, 1.0), u)
 
 
 def test_csv_and_json_export():
