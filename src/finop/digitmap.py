@@ -1,42 +1,27 @@
 """Mixed-radix digit expansion and the level-n cell permutations.
 
 Every x in [0,1) expands as x = x_1/M + x_2/(M (2!)^N) + x_3/(M (3!)^N) + ...
-with x_1 in {0..M-1} and x_i in {0..i^N - 1}.  The digit-to-cell maps turn
-each x_i into a point of the {0..i-1}^N lattice; summing their scaled
-contributions identifies 1D intervals with (component, N-cube cell) pairs.
-At each finite depth this identification is a bijection, realized here as an
+with x_1 in {0..M-1} and x_i in {0..i^N - 1}.  At depth n the digits of x
+are those of the integer k = floor(x K), K = M (n!)^N, in the radices
+M, 2^N, ..., n^N; one integer kernel (_digits) computes them, and Fraction
+appears only where a rational comes in or a residual goes out.  Digit x_i
+names a cell of the {0..i-1}^N lattice; summing their scaled coordinates
+identifies 1D intervals with (component, n!-grid cell) pairs.  At each
+finite depth this identification is a bijection, realized here as an
 explicit permutation between the two normalized-indicator bases.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import GridMismatchError, SizeLimitError
+from .errors import GridMismatchError, check_size
 from .grid import GridSpec, flatten_cell, unflatten_cell
 from .operators import GridVector
-
-DEFAULT_MAX_K = 2000
-
-
-def _max_k() -> int:
-    raw = os.environ.get("FINOP_MAX_K", str(DEFAULT_MAX_K))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FINOP_MAX_K must be an integer, got {raw!r}") from None
-
-
-def _check_size(K: int, what: str):
-    limit = _max_k()
-    if K > limit:
-        raise SizeLimitError(f"{what} too large (set FINOP_MAX_K to raise the cap)",
-                             requested=K, limit=limit)
 
 
 @dataclass(frozen=True)
@@ -57,20 +42,36 @@ class DigitExpansion:
         return total
 
 
+def _digits(k: int, N: int, depth: int):
+    """x1, (x_2..x_depth) and the depth!-grid cell coordinates of the integer
+    k in [0, M (depth!)^N).
+
+    k = x1 (depth!)^N + sum_i x_i (depth!/i!)^N.  The cell of digit x_i adds
+    depth!/i! times its coordinates (Horner in the radices 2, 3, ..., depth).
+    """
+    digits = []
+    for i in range(depth, 1, -1):
+        k, d = divmod(k, i**N)
+        digits.append(d)
+    digits.reverse()
+    coords = [0] * N
+    for i, xi in enumerate(digits, start=2):
+        coords = [c * i + ci for c, ci in zip(coords, unflatten_cell(xi, i, N))]
+    return k, tuple(digits), coords
+
+
 def expand_digits(x, N: int, M: int, depth: int) -> DigitExpansion:
-    """Digits of an exact rational x in [0,1), truncated at the given depth."""
+    """Digits of an exact rational x in [0,1), truncated at the given depth:
+    the digits of floor(x K), K = M (depth!)^N, with residual x - floor(x K)/K."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError(f"x={x} outside [0, 1)")
-    x1 = int(x * M)  # floor, x >= 0
-    partial = Fraction(x1, M)
-    digits = []
-    for i in range(2, depth + 1):
-        scale = M * math.factorial(i) ** N
-        xi = int((x - partial) * scale)
-        digits.append(xi)
-        partial += Fraction(xi, scale)
-    return DigitExpansion(x1, tuple(digits), depth, N, M, x - partial)
+    if N < 1 or M < 1 or depth < 0:
+        raise ValueError(f"digits need N, M >= 1 and depth >= 0, got N={N} M={M} depth={depth}")
+    K = M * math.factorial(depth) ** N
+    k = math.floor(x * K)
+    x1, digits, _ = _digits(k, N, depth)
+    return DigitExpansion(x1, digits, depth, N, M, x - Fraction(k, K))
 
 
 def bphi(x, N: int, M: int, depth: int):
@@ -78,13 +79,9 @@ def bphi(x, N: int, M: int, depth: int):
     x = Fraction(x)
     if not 0 <= x < Fraction(1, M):
         raise ValueError(f"x={x} outside [0, 1/{M})")
-    exp = expand_digits(x, N, M, depth)
-    point = [Fraction(0)] * N
-    for i, xi in enumerate(exp.digits, start=2):
-        cell = unflatten_cell(xi, i, N)
-        for a in range(N):
-            point[a] += Fraction(cell[a], math.factorial(i))
-    return tuple(point)
+    pf = math.factorial(depth)
+    _, _, coords = _digits(math.floor(x * M * pf**N), N, depth)
+    return tuple(Fraction(c, pf) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -120,17 +117,11 @@ def build_permutation(N: int, M: int, level: int) -> CellPermutation:
         raise ValueError("level must be >= 1")
     pf = math.factorial(level)
     K = M * pf**N
-    _check_size(K, "permutation")
+    check_size(K, "permutation")
     forward = np.empty(K, dtype=np.int64)
     for k in range(K):
-        exp = expand_digits(Fraction(k, K), N, M, level)
-        coords = [0] * N
-        for i, xi in enumerate(exp.digits, start=2):
-            cell = unflatten_cell(xi, i, N)
-            w = pf // math.factorial(i)
-            for a in range(N):
-                coords[a] += cell[a] * w
-        forward[k] = flatten_cell(coords, pf) * M + exp.x1
+        x1, _, coords = _digits(k, N, level)
+        forward[k] = flatten_cell(coords, pf) * M + x1
     inverse = np.empty(K, dtype=np.int64)
     inverse[forward] = np.arange(K)
     if not np.array_equal(np.sort(forward), np.arange(K)):  # pragma: no cover

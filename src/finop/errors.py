@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size cap."""
+
+import os
+
+DEFAULT_MAX_K = 2000
 
 
 class FinopError(Exception):
@@ -33,3 +37,15 @@ class ParseError(FinopError):
         super().__init__(f"{message} at line {line}, column {col}")
         self.line = line
         self.col = col
+
+
+def check_size(K: int, what: str):
+    """Refuse to build an object of size K over the FINOP_MAX_K cap."""
+    raw = os.environ.get("FINOP_MAX_K", str(DEFAULT_MAX_K))
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(f"FINOP_MAX_K must be an integer, got {raw!r}") from None
+    if K > limit:
+        raise SizeLimitError(f"{what} too large (set FINOP_MAX_K to raise the cap)",
+                             requested=K, limit=limit)

@@ -5,6 +5,10 @@ identifies L^2 on the interval with L^2 of vector functions on the N-torus.
 Conjugating a representation matrix by it yields a spectrally identical
 operator on the (N=1, M=1, p = M (n!)^N) grid, which the exact matrix
 bijection converts back to shift-coefficient form.
+
+Each entry point builds the level's permutation first: that checks the
+level and the FINOP_MAX_K cap before anything of size K exists, and the
+permutation's source and target grids are the level's two frames.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digitmap import CellPermutation, _check_size, build_permutation
+from .digitmap import CellPermutation, build_permutation
 from .errors import GridMismatchError, RefinementHintError
-from .grid import GridSpec, complex_pairs
+from .grid import complex_pairs
 from .matrep import (RepMatrix, Spectrum, expm_action, from_matrix, shift_rows, spectrum,
                      taylor_plan, to_matrix)
 from .operators import FiniteOperator, GridVector
@@ -73,33 +77,18 @@ class ConjugationResult:
         }
 
 
-def _level_for(p: int, level: int) -> int:
-    pf = math.factorial(level)
+def _on_level_grid(A: FiniteOperator, P: CellPermutation) -> FiniteOperator:
+    """A embedded on the n!-grid of the level-n permutation P."""
+    p, pf = A.grid.p, P.target_grid.p
     if pf % p != 0:
-        n = level
+        n = P.level
         while math.factorial(n) % p != 0:
             n += 1
         raise RefinementHintError(
-            f"grid p={p} does not divide {level}! = {pf}; use level >= {n}",
+            f"grid p={p} does not divide {P.level}! = {pf}; use level >= {n}",
             required_p=math.factorial(n),
         )
-    return pf
-
-
-def _embedded(A: FiniteOperator, level: int) -> FiniteOperator:
-    """A on the level-n! grid.  The size cap is checked before anything of
-    size K is built."""
-    _check_size(A.grid.M * math.factorial(level) ** A.grid.N, "matrix")
-    return embed(A, _level_for(A.grid.p, level))
-
-
-def _conjugate(A: FiniteOperator, level: int) -> tuple[RepMatrix, RepMatrix, CellPermutation]:
-    """Gather the embedded operator's matrix through the digit permutation;
-    returns the embedded matrix B, the gathered 1D matrix B[fwd][:, fwd] and
-    the permutation."""
-    B = to_matrix(_embedded(A, level))
-    P = build_permutation(A.grid.N, A.grid.M, level)
-    return B, RepMatrix(GridSpec(1, 1, P.size), B.entries[np.ix_(P.forward, P.forward)]), P
+    return embed(A, pf)
 
 
 def pde_to_ode(A: FiniteOperator, level: int) -> ConjugationResult:
@@ -111,7 +100,9 @@ def pde_to_ode(A: FiniteOperator, level: int) -> ConjugationResult:
     dense one of the K x K 1D matrix, so the report compares two eigensolver
     runs on different matrices.
     """
-    B, Bode, P = _conjugate(A, level)
+    P = build_permutation(A.grid.N, A.grid.M, level)
+    B = to_matrix(_on_level_grid(A, P))
+    Bode = RepMatrix(P.source_grid, B.entries[np.ix_(P.forward, P.forward)])
     copies = B.grid.dim // A.grid.dim  # (n!/p)^N
     A_mat = B if copies == 1 else to_matrix(A)  # embed(A, p) is A itself
     sp_src = Spectrum(np.repeat(spectrum(A_mat).eigenvalues, copies))
@@ -122,13 +113,11 @@ def pde_to_ode(A: FiniteOperator, level: int) -> ConjugationResult:
 
 def ode_to_pde(B_op: FiniteOperator, N: int, M: int, level: int) -> FiniteOperator:
     """Inverse direction: a 1D scalar operator back to the (N, M) frame."""
-    pf = math.factorial(level)
-    expected = GridSpec(1, 1, M * pf**N)
-    if B_op.grid != expected:
-        raise GridMismatchError(f"1D operator grid {B_op.grid} != expected {expected}")
     P = build_permutation(N, M, level)
+    if B_op.grid != P.source_grid:
+        raise GridMismatchError(f"1D operator grid {B_op.grid} != expected {P.source_grid}")
     B = to_matrix(B_op).entries
-    return from_matrix(RepMatrix(GridSpec(N, M, pf), B[np.ix_(P.inverse, P.inverse)]))
+    return from_matrix(RepMatrix(P.target_grid, B[np.ix_(P.inverse, P.inverse)]))
 
 
 @dataclass(frozen=True)
@@ -138,8 +127,12 @@ class EvolutionReport:
     tolerance: float
 
     @property
+    def verdicts(self) -> tuple:
+        return tuple(d <= self.tolerance for d in self.discrepancies)
+
+    @property
     def passed(self) -> bool:
-        return all(d <= self.tolerance for d in self.discrepancies)
+        return all(self.verdicts)
 
     def rows(self):
         return list(zip(self.times, self.discrepancies))
@@ -155,11 +148,10 @@ def evolve_compare(A: FiniteOperator, u0: GridVector, times, level: int) -> Evol
     plan for both sides they do the same floating-point work row for row, so
     a consistent conjugation gives a discrepancy of exactly 0.
     """
-    pf = math.factorial(level)
-    if u0.grid.p != pf or (u0.grid.N, u0.grid.M) != (A.grid.N, A.grid.M):
-        raise GridMismatchError(f"u0 grid {u0.grid} incompatible with level {level}")
-    cols, vals = shift_rows(_embedded(A, level))
     P = build_permutation(A.grid.N, A.grid.M, level)
+    if u0.grid != P.target_grid:
+        raise GridMismatchError(f"u0 grid {u0.grid} incompatible with level {level}")
+    cols, vals = shift_rows(_on_level_grid(A, P))
     fwd = P.forward
     ode_cols, ode_vals = P.inverse[cols[fwd]], vals[fwd]
     u = u0.values

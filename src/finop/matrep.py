@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FinopError
+from .errors import FinopError, check_size
 from .grid import GridSpec, StepFunction, complex_pairs, shift_index
 from .operators import FiniteOperator
 
@@ -99,8 +99,9 @@ def shift_rows(A: FiniteOperator) -> tuple[np.ndarray, np.ndarray]:
 
 def to_matrix(A: FiniteOperator) -> RepMatrix:
     """Assemble the block matrix block(r, j) = A_{j-r}(cell r) from the row form."""
-    cols, vals = shift_rows(A)
     K = A.grid.dim
+    check_size(K, "matrix")
+    cols, vals = shift_rows(A)
     entries = np.zeros((K, K), dtype=np.complex128)
     entries[np.arange(K)[:, None], cols] += vals  # adds into +0.0: no negative zeros
     return RepMatrix(A.grid, entries)

@@ -153,8 +153,6 @@ class FiniteOperator:
                 terms[k] = terms[k] + contrib if k in terms else contrib
         return FiniteOperator(self.grid, terms)
 
-    __matmul__ = compose
-
     def adjoint(self) -> "FiniteOperator":
         """(A*)_j(x) = A_{-j}(x + h j)^*  (validated against the matrix oracle)."""
         p = self.grid.p

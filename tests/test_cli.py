@@ -149,6 +149,23 @@ def test_max_k_cap(tmp_path, capsys, monkeypatch):
     assert "FINOP_MAX_K" in err
 
 
+def test_cap_is_checked_before_lowering(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lower_fop called for a grid over the size cap")
+
+    monkeypatch.setattr(finop.cli, "lower_fop", forbidden)
+    monkeypatch.setenv("FINOP_MAX_K", "3")
+    f = tmp_path / "d.fop"
+    f.write_text("N = 1\noperator { D(1,1/4) }\n")  # minimal grid K = 4
+    for argv in (("repr", str(f)), ("spectrum", str(f)), ("conjugate", str(f), "--level", "4")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "FINOP_MAX_K" in err
+    code, out, _ = run(capsys, "repr", str(f), "--grid-info")
+    assert code == 0
+    assert out.strip() == "N=1 M=1 p=4 K=4"
+
+
 def test_evolve_and_conjugate_over_the_cap_exit_2(capsys, monkeypatch):
     # K = 6!^2 = 518400 is over the default cap; no K x K matrix is built
     monkeypatch.delenv("FINOP_MAX_K", raising=False)

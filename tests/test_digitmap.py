@@ -16,6 +16,7 @@ from finop import (
     flatten_cell,
     unflatten_cell,
 )
+from conftest import digits_oracle, forward_oracle
 
 
 def test_digits_zero():
@@ -38,6 +39,9 @@ def test_digits_rejects_out_of_range():
         expand_digits(Fraction(1), 1, 1, 2)
     with pytest.raises(ValueError):
         expand_digits(Fraction(-1, 2), 1, 1, 2)
+    for N, M, depth in ((1, 0, 3), (0, 1, 3), (1, 1, -1)):
+        with pytest.raises(ValueError, match=f"N={N} M={M} depth={depth}"):
+            expand_digits(Fraction(1, 2), N, M, depth)
 
 
 @given(
@@ -56,6 +60,19 @@ def test_digits_residual_bound_and_reconstruction(num, den, N, M, depth):
     bound = Fraction(1, M * math.factorial(depth) ** N)
     assert 0 <= exp.residual < bound
     assert exp.partial_sum() + exp.residual == x
+
+
+@given(
+    st.integers(0, 10**12),
+    st.integers(1, 10**12),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 7),
+)
+def test_digits_equal_the_fraction_recurrence(num, den, N, M, depth):
+    x = Fraction(num % den, den)
+    exp = expand_digits(x, N, M, depth)
+    assert (exp.x1, exp.digits, exp.residual) == digits_oracle(x, N, M, depth)
 
 
 def test_digits_grid_points_terminate_exactly():
@@ -96,6 +113,12 @@ def test_build_permutation_fig1_level_two():
     P = build_permutation(2, 1, 2)
     # intervals k=0..3 land in cells (0,0),(0,1),(1,0),(1,1) of the p=2 grid
     assert np.array_equal(P.forward, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("N,M,n", [(1, 1, 7), (1, 3, 4), (2, 1, 4), (2, 2, 3), (3, 1, 3)])
+def test_build_permutation_equals_the_fraction_oracle(monkeypatch, N, M, n):
+    monkeypatch.setenv("FINOP_MAX_K", str(10**4))
+    assert np.array_equal(build_permutation(N, M, n).forward, forward_oracle(N, M, n))
 
 
 def test_permutation_bijectivity():

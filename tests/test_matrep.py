@@ -9,6 +9,7 @@ from finop import (
     FiniteOperator,
     GridSpec,
     RepMatrix,
+    SizeLimitError,
     StepFunction,
     embed,
     from_matrix,
@@ -172,3 +173,11 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(finop.__file__).parents[1])}
     code = "import finop, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_to_matrix_over_the_cap_raises(monkeypatch):
+    A = FiniteOperator.identity(GridSpec(2, 1, 4))  # K = 16
+    monkeypatch.setenv("FINOP_MAX_K", "15")
+    with pytest.raises(SizeLimitError) as exc:
+        to_matrix(A)
+    assert "FINOP_MAX_K" in str(exc.value) and exc.value.requested == 16
