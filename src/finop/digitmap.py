@@ -35,12 +35,6 @@ class DigitExpansion:
     M: int
     residual: Fraction
 
-    def partial_sum(self) -> Fraction:
-        total = Fraction(self.x1, self.M)
-        for i, xi in enumerate(self.digits, start=2):
-            total += Fraction(xi, self.M * math.factorial(i) ** self.N)
-        return total
-
 
 def _digits(k: int, N: int, depth: int):
     """x1, (x_2..x_depth) and the depth!-grid cell coordinates of the integer

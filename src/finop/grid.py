@@ -3,8 +3,9 @@
 The torus T^N is split into p^N half-open cells of side 1/p.  Cell indices
 are N-tuples with axis 0 most significant in the flat (lexicographic) order.
 All cell-index arithmetic lives here: other modules obtain flat indices from
-flatten_cell/unflatten_cell (one cell) or shift_index/parent_index/box_index
-(many cells at once) and never flatten coordinates themselves.
+flatten_cell/unflatten_cell (one cell) or shift_index/shift_between/
+parent_index/box_index (many cells at once) and never flatten coordinates
+themselves.
 Step functions are matrix valued and constant on each cell; geometry is kept
 in exact rationals while matrix entries are complex doubles, written out as
 [re, im] pairs by complex_pairs and read back by from_complex_pairs.
@@ -75,16 +76,6 @@ def unflatten_cell(flat: int, p: int, N: int):
     return tuple(coords)
 
 
-def all_cell_coords(p: int, N: int) -> np.ndarray:
-    """(p^N, N) integer array of cell coordinates in flat order."""
-    idx = np.arange(p**N)
-    coords = np.empty((p**N, N), dtype=np.int64)
-    for a in range(N - 1, -1, -1):
-        coords[:, a] = idx % p
-        idx //= p
-    return coords
-
-
 def _flat_index(axis_coords, p: int) -> np.ndarray:
     """Flat indices of the product of per-axis coordinate arrays, axis 0 first."""
     flat = np.zeros(1, dtype=np.int64)
@@ -99,6 +90,17 @@ def shift_index(p: int, N: int, shift) -> np.ndarray:
         raise ValueError(f"shift {tuple(shift)} has wrong arity for N={N}")
     axis = np.arange(p, dtype=np.int64)
     return _flat_index([(axis + int(s)) % p for s in shift], p)
+
+
+def shift_between(p: int, N: int, rows, cols) -> np.ndarray:
+    """Flat index of the shift j with cell cols = cell rows + j (mod p), for
+    arrays of flat cell indices; the inverse of shift_index on each pair."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    flat, scale = 0, 1
+    for _ in range(N):  # axis N-1 (least significant) first
+        flat = flat + (cols - rows) % p * scale
+        rows, cols, scale = rows // p, cols // p, scale * p
+    return flat
 
 
 def parent_index(p: int, q: int, N: int) -> np.ndarray:
@@ -118,15 +120,6 @@ def box_index(p: int, intervals) -> np.ndarray:
     return _flat_index([np.arange(max(math.ceil(Fraction(lo) * p - half), 0),
                                   min(math.ceil(Fraction(hi) * p - half), p), dtype=np.int64)
                         for lo, hi in intervals], p)
-
-
-def cell_of_point(point, p: int):
-    """Cell containing a point of T^N with exact rational coordinates."""
-    coords = []
-    for x in point:
-        x = Fraction(x) % 1
-        coords.append(int(x * p))  # floor: x in [c/p, (c+1)/p)
-    return tuple(coords)
 
 
 def complex_pairs(a) -> list:
@@ -217,12 +210,6 @@ class StepFunction:
         """Cellwise conjugate transpose."""
         return StepFunction(self.grid, np.conj(np.swapaxes(self.values, 1, 2)))
 
-    def supnorm(self) -> float:
-        """Max over cells of the matrix operator (spectral) norm."""
-        if self.grid.M == 1:
-            return float(np.max(np.abs(self.values)))
-        return float(np.max(np.linalg.norm(self.values, ord=2, axis=(1, 2))))
-
     # -- representation changes -------------------------------------------
 
     def refine(self, q: int) -> "StepFunction":
@@ -235,11 +222,6 @@ class StepFunction:
     def translate(self, shift) -> "StepFunction":
         """S(x + h*j) for an integer cell shift j (tuple of length N)."""
         return StepFunction(self.grid, self.values[shift_index(self.grid.p, self.grid.N, shift)])
-
-    def value_at(self, point) -> np.ndarray:
-        """Sample the function at an exact rational point of T^N."""
-        cell = cell_of_point(point, self.grid.p)
-        return self.values[flatten_cell(cell, self.grid.p)]
 
     # -- serialization -----------------------------------------------------
 

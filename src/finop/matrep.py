@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FinopError, check_size
-from .grid import GridSpec, StepFunction, complex_pairs, shift_index
+from .grid import (GridSpec, StepFunction, complex_pairs, shift_between, shift_index,
+                   unflatten_cell)
 from .operators import FiniteOperator
 
 
@@ -69,11 +71,22 @@ class Spectrum:
 
         Plain sorted comparison mis-pairs conjugate eigenvalue pairs whose
         real parts tie up to rounding noise, so pair by minimal assignment.
+        Each of other's eigenvalues first gets its nearest distinct value of
+        self.  If that uses every value as often as self holds it, it is a
+        matching, and no matching pays less at any eigenvalue, so every
+        min-sum matching pays exactly these distances.  Only a clustered
+        spectrum, where it is not, solves the K x K assignment.
         """
-        import scipy.optimize  # imported here: loading scipy dominates CLI startup
-
         if len(self) != len(other):
             raise ValueError("spectra have different sizes")
+        values, counts = np.unique(self.eigenvalues, return_counts=True)
+        dist = np.abs(values[:, None] - other.eigenvalues[None, :])
+        nearest = dist.argmin(axis=0)
+        if (np.isfinite(dist).all()
+                and np.array_equal(np.bincount(nearest, minlength=len(values)), counts)):
+            return float(dist[nearest, np.arange(len(other))].max())
+        import scipy.optimize  # imported here: loading scipy dominates CLI startup
+
         cost = np.abs(self.eigenvalues[:, None] - other.eigenvalues[None, :])
         rows, cols = scipy.optimize.linear_sum_assignment(cost)
         return float(cost[rows, cols].max())
@@ -108,17 +121,21 @@ def to_matrix(A: FiniteOperator) -> RepMatrix:
 
 
 def from_matrix(B: RepMatrix) -> FiniteOperator:
-    """Recover the unique shift-coefficient operator with this matrix."""
+    """Recover the unique shift-coefficient operator with this matrix.
+
+    Only the shifts of the nonzero entries' (row cell, column cell) pairs
+    are gathered, in flat shift order, which is itertools.product order.
+    """
     grid = B.grid
     p, N, M = grid.p, grid.N, grid.M
     nc = grid.num_cells
     blocks = B.entries.reshape(nc, M, nc, M).transpose(0, 2, 1, 3)
+    nz_rows, nz_cols = np.nonzero(B.entries)  # -0.0 is zero here, as in a term's values
     rows = np.arange(nc)
     terms = {}
-    for j in itertools.product(range(p), repeat=N):
-        vals = blocks[rows, shift_index(p, N, j)]
-        if np.any(vals != 0):
-            terms[j] = StepFunction(grid, vals)
+    for flat in np.unique(shift_between(p, N, nz_rows // M, nz_cols // M)):
+        j = unflatten_cell(int(flat), p, N)
+        terms[j] = StepFunction(grid, blocks[rows, shift_index(p, N, j)])
     return FiniteOperator(grid, terms)
 
 
@@ -153,6 +170,9 @@ def taylor_plan(cols: np.ndarray, vals: np.ndarray, t: float) -> tuple[int, int,
     mu = complex(diag.sum()) / K
     colsum = np.bincount(cols.ravel(), np.abs(vals).ravel(), minlength=K)
     norm = abs(t) * float(np.max(colsum - np.abs(diag) + np.abs(diag - mu)))
+    if not math.isfinite(norm / _THETA[1]):  # else every step count below is a finite float
+        raise ValueError(f"cannot evolve to t={t}: t * ||A - mu I||_1 = {norm:.6g} "
+                         f"is not finite or above {sys.float_info.max * _THETA[1]:.3g}")
     if norm == 0:
         return 0, 1, mu
     s = {m: math.ceil(norm / theta) for m, theta in _THETA.items()}

@@ -1,10 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from finop import GridSpec, RepMatrix, flatten_cell, unflatten_cell
+from finop import (FiniteOperator, GridSpec, RepMatrix, StepFunction, flatten_cell, from_matrix,
+                   lower_fop, parse_fop, to_matrix, unflatten_cell)
+from finop.grid import shift_index
 from finop.sampling import random_operator, random_step_function, random_vector
 
 # the text of perfbench/inputs/heat2d.fop, D1 D1 + D2 D2 with step 1/2: the
@@ -79,3 +82,108 @@ def forward_oracle(N, M, level):
                 coords[a] += c * (pf // math.factorial(i))
         forward.append(flatten_cell(coords, pf) * M + x1)
     return np.array(forward)
+
+
+def assignment_deviation(source, target):
+    """Oracle of Spectrum.max_deviation: the largest pair distance of a
+    minimal-sum matching from scipy's linear_sum_assignment on the K x K
+    cost matrix."""
+    import scipy.optimize
+
+    if len(source) != len(target):
+        raise ValueError("spectra have different sizes")
+    cost = np.abs(source.eigenvalues[:, None] - target.eigenvalues[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def from_matrix_oracle(B):
+    """Oracle of from_matrix: gather block(r, r + j) for every one of the p^N
+    shifts j in itertools.product order, and keep those with a nonzero."""
+    grid = B.grid
+    p, N, M = grid.p, grid.N, grid.M
+    nc = grid.num_cells
+    blocks = B.entries.reshape(nc, M, nc, M).transpose(0, 2, 1, 3)
+    rows = np.arange(nc)
+    terms = {}
+    for j in itertools.product(range(p), repeat=N):
+        vals = blocks[rows, shift_index(p, N, j)]
+        if np.any(vals != 0):
+            terms[j] = StepFunction(grid, vals)
+    return FiniteOperator(grid, terms)
+
+
+def all_cell_coords(p, N):
+    """(p^N, N) integer array of cell coordinates in flat order."""
+    idx = np.arange(p**N)
+    coords = np.empty((p**N, N), dtype=np.int64)
+    for a in range(N - 1, -1, -1):
+        coords[:, a] = idx % p
+        idx //= p
+    return coords
+
+
+def cell_of_point(point, p):
+    """Cell containing a point of T^N with exact rational coordinates."""
+    return tuple(int(Fraction(x) % 1 * p) for x in point)  # floor: x in [c/p, (c+1)/p)
+
+
+def value_at(f, point):
+    """Sample a StepFunction at an exact rational point of T^N."""
+    return f.values[flatten_cell(cell_of_point(point, f.grid.p), f.grid.p)]
+
+
+def supnorm(f):
+    """Max over cells of a StepFunction's matrix operator (spectral) norm."""
+    return float(np.max(np.linalg.norm(f.values, ord=2, axis=(1, 2))))
+
+
+def partial_sum(exp):
+    """x1/M + sum_i x_i / (M (i!)^N) of a DigitExpansion, exactly."""
+    total = Fraction(exp.x1, exp.M)
+    for i, xi in enumerate(exp.digits, start=2):
+        total += Fraction(xi, exp.M * math.factorial(i) ** exp.N)
+    return total
+
+
+def jordan_operator(rng, N, M, p):
+    """2I plus a weighted shift along axis 1 whose weight is zero on the cells
+    with first coordinate 0, so once per cycle: its matrix has Jordan blocks
+    of size p.  Conjugated by a dense random similarity, which the exact
+    matrix bijection keeps inside the algebra."""
+    grid = GridSpec(N, M, p)
+    weight = rng.standard_normal(grid.num_cells) + 1.0
+    weight[all_cell_coords(p, N)[:, 0] == 0] = 0.0
+    J = FiniteOperator(grid, {
+        (0,) * N: StepFunction.constant(grid, 2.0),
+        (1,) + (0,) * (N - 1): StepFunction(grid, weight[:, None, None] * np.eye(M)),
+    })
+    S = rng.standard_normal((grid.dim, grid.dim)) + 1j * rng.standard_normal((grid.dim, grid.dim))
+    return from_matrix(RepMatrix(grid, S @ to_matrix(J).entries @ np.linalg.inv(S)))
+
+
+def generated_fop_text(rng, N, M, p):
+    """Random .fop text M(A) * D(1,1/p) + D(N,-1/p) * M(B) + c I, with four
+    random boxes per coefficient, A painted and B summed: zero cells of A
+    make the operator defective."""
+    def literal(z):
+        return f"{z.real:.3f}{z.imag:+.3f}i"
+
+    lines = [f"N = {N}", f"M = {M}"]
+    for name, mode in (("A", ""), ("B", "sum ")):
+        lines.append(f"coeff {mode}{name} {{")
+        for _ in range(4):
+            box = " x ".join(f"[{Fraction(int(lo), p)},{Fraction(int(hi), p)})" for lo, hi in
+                             (sorted(rng.choice(p + 1, size=2, replace=False)) for _ in range(N)))
+            z = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+            rows = ", ".join("[" + ", ".join(literal(v) for v in row) + "]" for row in z)
+            lines.append(f"    box {box} = [{rows}]")
+        lines.append("}")
+    c = literal(complex(*rng.standard_normal(2)))
+    lines.append(f"operator {{ M(A) * D(1,1/{p}) + D({N},-1/{p}) * M(B) + ({c}) * I }}")
+    return "\n".join(lines) + "\n"
+
+
+def generated_fop(rng, N, M, p):
+    """The lowered operator of generated_fop_text."""
+    return lower_fop(parse_fop(generated_fop_text(rng, N, M, p)))[0]

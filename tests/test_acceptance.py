@@ -34,11 +34,11 @@ from finop import (
     to_matrix,
 )
 from finop.dsl import Adjoint, Deriv, Identity, Mult, Product, Scale, Sum, rasterize
-from finop.grid import all_cell_coords
 from finop.sampling import random_operator, random_vector
 from finop.uhf import INF
 
 from astgen import gen_expr
+from conftest import all_cell_coords
 from test_dsl import env_2d
 
 

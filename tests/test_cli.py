@@ -208,6 +208,29 @@ def test_evolve_loads_no_scipy():
                    stdout=subprocess.DEVNULL)
 
 
+def test_conjugate_advection_loads_no_scipy():
+    # the source spectrum is repeated, not clustered, so no assignment is solved
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(finop.cli.__file__).parents[1])}
+    code = ("import sys, finop.cli; "
+            "code = finop.cli.main(['conjugate', 'demos/advection.fop', '--level', '5']); "
+            "assert code == 0 and 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("t", ["inf", "1e308", "nan"])
+def test_evolve_with_a_time_that_overflows_the_plan_exits_2(capsys, t):
+    advection = str(Path(__file__).resolve().parents[1] / "demos" / "advection.fop")
+    code, out, err = run(capsys, "evolve", advection, "--level", "3", "--times", t)
+    assert code == 2
+    assert f"t={float(t)}" in err and "not finite" in err
+
+
 @pytest.mark.parametrize("level", ["3", "4"])
 def test_evolve_anti_diffusive_heat_passes_with_zero_discrepancy(tmp_path, capsys, level):
     # dense expm rounding, about eps ||exp(tB)||, used to fail this check

@@ -16,7 +16,7 @@ from finop import (
     flatten_cell,
     unflatten_cell,
 )
-from conftest import digits_oracle, forward_oracle
+from conftest import digits_oracle, forward_oracle, partial_sum
 
 
 def test_digits_zero():
@@ -59,7 +59,7 @@ def test_digits_residual_bound_and_reconstruction(num, den, N, M, depth):
         assert 0 <= d < i**N
     bound = Fraction(1, M * math.factorial(depth) ** N)
     assert 0 <= exp.residual < bound
-    assert exp.partial_sum() + exp.residual == x
+    assert partial_sum(exp) + exp.residual == x
 
 
 @given(

@@ -32,6 +32,7 @@ from finop.dsl import (
 )
 
 from astgen import gen_expr
+from conftest import value_at
 
 
 def env_2d(M=1):
@@ -135,7 +136,7 @@ def test_rasterize_matches_midpoint_oracle():
             for box in env["S"].boxes:  # painter's order: last covering wins
                 if all(lo <= m < hi for m, (lo, hi) in zip(mid, box.intervals)):
                     expected = box.value[0, 0]
-            assert S.value_at(mid)[0, 0] == expected
+            assert value_at(S, mid)[0, 0] == expected
 
 
 @st.composite

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finop import GridSpec, GridMismatchError, StepFunction, flatten_cell, unflatten_cell
-from finop.grid import box_index, complex_pairs, from_complex_pairs, parent_index, shift_index
+from finop.grid import (box_index, complex_pairs, from_complex_pairs, parent_index, shift_between,
+                        shift_index)
 
-from conftest import rand_step
+from conftest import rand_step, supnorm, value_at
 
 
 def chi_half(first_half=True):
@@ -41,6 +42,17 @@ def test_shift_index_matches_scalar_oracle(p, N, data):
         for r in range(p**N)
     ]
     assert shift_index(p, N, shift).tolist() == expected
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_shift_between_inverts_shift_index(p, N, data):
+    shift = data.draw(st.lists(st.integers(0, p - 1), min_size=N, max_size=N))
+    rows = np.arange(p**N)
+    between = shift_between(p, N, rows, shift_index(p, N, shift))
+    assert between.tolist() == [flatten_cell(shift, p)] * p**N
+    r, c = data.draw(st.integers(0, p**N - 1)), data.draw(st.integers(0, p**N - 1))
+    j = [(b - a) % p for a, b in zip(unflatten_cell(r, p, N), unflatten_cell(c, p, N))]
+    assert shift_between(p, N, r, c) == flatten_cell(j, p)
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
@@ -90,8 +102,8 @@ def test_mul_matches_midpoint_sampling_oracle(rng):
     prod = f * g
     for c in range(4):
         mid = (Fraction(2 * c + 1, 8),)
-        expected = f.value_at(mid) @ g.value_at(mid)
-        assert np.allclose(prod.value_at(mid), expected, rtol=1e-13)
+        expected = value_at(f, mid) @ value_at(g, mid)
+        assert np.allclose(value_at(prod, mid), expected, rtol=1e-13)
 
 
 def test_mul_grid_mismatch_rejected(rng):
@@ -136,7 +148,7 @@ def test_refine_midpoint_oracle(rng):
     for c0 in range(6):
         for c1 in range(6):
             mid = (Fraction(2 * c0 + 1, 12), Fraction(2 * c1 + 1, 12))
-            assert np.array_equal(fine.value_at(mid), f.value_at(mid))
+            assert np.array_equal(value_at(fine, mid), value_at(f, mid))
 
 
 def test_refine_rejects_non_multiple():
@@ -149,17 +161,17 @@ def test_refine_is_star_homomorphism(rng):
     g = rand_step(rng, 2, 2, 2)
     assert np.allclose((f * g).refine(4).values, (f.refine(4) * g.refine(4)).values)
     assert np.array_equal(f.adjoint().refine(4).values, f.refine(4).adjoint().values)
-    assert f.refine(4).supnorm() == f.supnorm()
+    assert supnorm(f.refine(4)) == supnorm(f)
 
 
 def test_supnorm():
     g = GridSpec(1, 1, 2)
-    assert StepFunction.zero(g).supnorm() == 0.0
-    assert StepFunction.identity(GridSpec(1, 3, 2)).supnorm() == 1.0
+    assert supnorm(StepFunction.zero(g)) == 0.0
+    assert supnorm(StepFunction.identity(GridSpec(1, 3, 2))) == 1.0
     g2 = GridSpec(1, 2, 2)
     vals = np.zeros((2, 2, 2), dtype=complex)
     vals[0] = [[0, 2], [0, 0]]
-    assert StepFunction(g2, vals).supnorm() == pytest.approx(2.0)
+    assert supnorm(StepFunction(g2, vals)) == pytest.approx(2.0)
 
 
 def test_json_roundtrip(rng):

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finop.isomorphism
 import finop.matrep
@@ -21,7 +23,8 @@ from finop import (
     to_matrix,
 )
 
-from conftest import perm_matrix, rand_op, rand_vec
+from conftest import (assignment_deviation, generated_fop, jordan_operator, perm_matrix, rand_op,
+                      rand_vec)
 
 
 def test_identity_conjugates_to_identity():
@@ -249,9 +252,56 @@ def test_evolve_compare_fails_an_inconsistent_conjugation(rng, monkeypatch, N, M
     assert all(d > rep.tolerance for d in rep.discrepancies)
 
 
+@pytest.mark.parametrize("t", [math.inf, 1e308, math.nan])
+def test_evolve_compare_rejects_a_time_that_overflows_the_plan(rng, t):
+    A = rand_op(rng, 1, 1, 2)
+    with pytest.raises(ValueError, match=re.escape(f"t={t}:")):
+        evolve_compare(A, rand_vec(rng, 1, 1, 6), [t], 3)
+
+
 def test_evolve_random(rng):
     A = rand_op(rng, 2, 1, 2)
     u0 = rand_vec(rng, 2, 1, 2)
     rep = evolve_compare(A, u0, [0.1, 1.0], 2)
     assert rep.passed
     assert all(d <= 1e-8 * u0.norm() for d in rep.discrepancies)
+
+
+# (name, N, M, p, level): the frames of the benchmark's reduce cycle, the
+# generated .fop operator of its cli cycle, and Jordan-block operators, whose
+# clustered spectra take the assignment fallback
+DEVIATION_CASES = [
+    ("random", 2, 2, 2, 3), ("random", 2, 1, 2, 4), ("random", 3, 1, 3, 3),
+    ("random", 3, 1, 2, 3), ("fop", 1, 1, 4, 5), ("fop", 2, 2, 6, 3),
+    ("jordan", 1, 2, 4, 4), ("jordan", 2, 1, 4, 4), ("jordan", 2, 2, 2, 3),
+]
+
+
+@pytest.mark.parametrize("kind,N,M,p,level", DEVIATION_CASES)
+def test_pde_to_ode_deviation_equals_the_assignment(kind, N, M, p, level):
+    rng = np.random.default_rng([N, M, p, level])
+    A = {"random": rand_op, "fop": generated_fop, "jordan": jordan_operator}[kind](rng, N, M, p)
+    rep = pde_to_ode(A, level).spectral_report
+    want = assignment_deviation(rep.source, rep.target)
+    assert np.float64(rep.max_deviation).tobytes() == np.float64(want).tobytes()
+
+
+# (N, M, p, level) frames of the *-isomorphism laws, K <= 72
+LAW_FRAMES = [(1, 2, 2, 3), (2, 1, 2, 3), (2, 2, 2, 3), (1, 1, 4, 4), (3, 1, 2, 2), (1, 3, 3, 3)]
+
+
+def phi(A, level):
+    return pde_to_ode(A, level).ode
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(LAW_FRAMES), st.integers(0, 2**32 - 1))
+def test_star_isomorphism_laws(frame, seed):
+    N, M, p, level = frame
+    rng = np.random.default_rng(seed)
+    A, B = rand_op(rng, N, M, p), rand_op(rng, N, M, p)
+    PA, PB = phi(A, level), phi(B, level)
+    assert np.array_equal(to_matrix(phi(A.adjoint(), level)).entries, to_matrix(PA.adjoint()).entries)
+    assert np.array_equal(to_matrix(phi(A + B, level)).entries, to_matrix(PA + PB).entries)
+    lhs, rhs = to_matrix(phi(A.compose(B), level)).entries, to_matrix(PA.compose(PB)).entries
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, strategies as st
 
 from finop import (
     FiniteOperator,
@@ -19,8 +21,9 @@ from finop import (
     to_matrix,
 )
 
-from conftest import ANTI_DIFFUSIVE_HEAT2D, matrix_exp, rand_op
-from finop.matrep import expm_action, shift_rows, taylor_plan
+from conftest import (ANTI_DIFFUSIVE_HEAT2D, assignment_deviation, from_matrix_oracle, matrix_exp,
+                      rand_op)
+from finop.matrep import Spectrum, expm_action, shift_rows, taylor_plan
 
 
 def deriv(p, axis=1, h=None, N=1, M=1):
@@ -181,3 +184,108 @@ def test_to_matrix_over_the_cap_raises(monkeypatch):
     with pytest.raises(SizeLimitError) as exc:
         to_matrix(A)
     assert "FINOP_MAX_K" in str(exc.value) and exc.value.requested == 16
+
+
+def assert_same_deviation(source, target):
+    """max_deviation and the assignment oracle agree bit for bit, or raise alike."""
+    try:
+        want = assignment_deviation(source, target)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            source.max_deviation(target)
+        return
+    got = source.max_deviation(target)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@st.composite
+def repeated_spectra(draw):
+    """(source, target): well separated values on a quarter grid, some as
+    conjugate pairs with tied real parts, each repeated 1-4 times; the target
+    is the source perturbed at a scale from 1e-15 to 1e-6, in shuffled order."""
+    points = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 12), st.booleans()),
+                           min_size=1, max_size=6, unique_by=lambda t: t[:2]))
+    values = []
+    for re, im, paired in points:
+        z = complex(re, im) / 4
+        values.extend([z, z.conjugate()] if paired and im else [z])
+    source = np.repeat(values, draw(st.lists(st.integers(1, 4), min_size=len(values),
+                                             max_size=len(values))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-15, -6))
+    noise = scale * (rng.standard_normal(len(source)) + 1j * rng.standard_normal(len(source)))
+    return Spectrum(source), Spectrum(rng.permutation(source + noise))
+
+
+@given(repeated_spectra())
+def test_max_deviation_equals_assignment_on_repeated_spectra(spectra):
+    assert_same_deviation(*spectra)
+
+
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_max_deviation_equals_assignment_on_clustered_spectra(K, seed, spread):
+    rng = np.random.default_rng(seed)
+    source = 1 + spread * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
+    target = source + spread * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
+    assert_same_deviation(Spectrum(source), Spectrum(target))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@given(st.lists(st.sampled_from([0.0, 1.0, 2j, -1.5, np.inf, -np.inf, complex(np.inf, 1),
+                                 np.nan, complex(0, np.nan)]), min_size=2, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_max_deviation_on_infinite_or_nan_input_behaves_as_the_assignment(values, seed):
+    rng = np.random.default_rng(seed)
+    source = np.array(values, dtype=complex)
+    target = rng.permutation(source)
+    target[rng.integers(len(target))] = rng.choice(source)
+    assert_same_deviation(Spectrum(source), Spectrum(target))
+    assert_same_deviation(Spectrum(source), Spectrum(np.arange(len(source), dtype=complex)))
+
+
+def test_max_deviation_solves_the_assignment_only_for_clustered_spectra(monkeypatch):
+    calls = []
+    solve = scipy.optimize.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    repeated = Spectrum(np.repeat([0.0, 16.0, 32.0, 1 + 1j, 1 - 1j], 144))
+    assert repeated.max_deviation(Spectrum(repeated.eigenvalues + 1e-12)) == pytest.approx(1e-12)
+    assert calls == []
+    clustered = Spectrum([16.0, 16.0 + 1e-9])
+    assert clustered.max_deviation(Spectrum([16.0 + 0.9e-9, 16.0 + 3e-9])) == pytest.approx(2e-9)
+    assert calls == [(2, 2)]
+
+
+@st.composite
+def block_matrices(draw):
+    """A RepMatrix on a frame with N, M in 1..3 and K <= 27: dense, or sparse
+    with a few shifts, with -0.0 at random entries and real parts."""
+    N, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p = draw(st.integers(1, {1: 18, 2: 4, 3: 2}[N] if M == 1 else {1: 6, 2: 3, 3: 2}[N]))
+    grid = GridSpec(N, M, p)
+    K = grid.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+    if draw(st.booleans()):  # sparse: keep the blocks of a few shifts, or of none
+        B = to_matrix(FiniteOperator(grid, {
+            tuple(rng.integers(p, size=N)): StepFunction(grid, rng.standard_normal((p**N, M, M)))
+            for _ in range(draw(st.integers(0, 3)))}))
+        entries = np.where(B.entries != 0, entries, 0.0)
+    entries[rng.random((K, K)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = -0.0
+    entries.real[rng.random((K, K)) < 0.1] = -0.0
+    return RepMatrix(grid, entries)
+
+
+@given(block_matrices())
+def test_from_matrix_equals_the_per_shift_oracle(B):
+    got, want = from_matrix(B), from_matrix_oracle(B)
+    assert list(got.terms) == list(want.terms)
+    assert got.to_json_dict() == want.to_json_dict()
+    for j in want.terms:
+        assert got.terms[j].values.tobytes() == want.terms[j].values.tobytes()
+    assert np.array_equal(to_matrix(got).entries, B.entries)
+    assert from_matrix(RepMatrix(B.grid, np.full_like(B.entries, -0.0))).terms == {}
