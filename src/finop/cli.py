@@ -81,14 +81,19 @@ def cmd_conjugate(args) -> int:
     result = pde_to_ode(op, args.level)
     payload = result.to_json_dict()
     rep = result.spectral_report
+    route = (f"lift from K0={result.K0} to K={result.K}" if result.path == "lift"
+             else f"direct at K={result.K}")
     table = [
         f"level {result.level}: K={result.K}",
-        f"spectral deviation {rep.max_deviation:.3e} "
-        f"(tol {rep.tolerance:.3e}) -> {'PASS' if rep.passed else 'FAIL'}",
+        f"{route}; certificate "
+        + ("PASS" if result.certified else f"FAIL at (row, col) = {result.first_mismatch}"),
+        f"spectral deviation {rep.max_deviation:.3e} (tol {rep.tolerance:.3e}); "
+        f"{rep.far_pairs} far pairs, sigma_min {rep.max_residual:.3e} "
+        f"(eps {rep.epsilon:.3e}) -> {'PASS' if rep.passed else 'FAIL'}",
         f"1D operator has {len(result.ode.terms)} shift terms on p={result.ode.grid.p}",
     ]
     _emit(args, payload, table)
-    return 0 if rep.passed else 1
+    return 0 if result.certified and rep.passed else 1
 
 
 def cmd_evolve(args) -> int:
@@ -129,8 +134,9 @@ def cmd_digits(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-# (N, M, level) frames of the verify spectrum check; none has the identity as
-# its digit permutation, so the check can fail.
+# (N, M, level) frames of the verify conjugation check; none has the identity
+# as its digit permutation, so the check can fail.  Each operator is drawn on
+# the level's n!-grid, so the minimal level is the level itself.
 SPECTRUM_CHECK_FRAMES = ((2, 1, 3), (2, 2, 2))
 
 
@@ -180,11 +186,14 @@ def _verify_checks(seed: int):
         ok &= bool(np.array_equal(P.inverse[P.forward], np.arange(P.size)))
     yield "permutation bijectivity", ok, "forward/inverse compose to identity"
 
-    reports = [pde_to_ode(random_operator(rng, GridSpec(N, M, 2)), level).spectral_report
+    results = [pde_to_ode(random_operator(rng, GridSpec(N, M, math.factorial(level))), level)
                for N, M, level in SPECTRUM_CHECK_FRAMES]
+    reports = [res.spectral_report for res in results]
     worst = max(rep.max_deviation / max(rep.scale, 1.0) for rep in reports)
-    yield ("conjugation spectrum equality", all(rep.passed for rep in reports),
-           f"max relative deviation {worst:.2e}")
+    yield ("conjugation spectrum equality",
+           all(res.certified and res.spectral_report.passed for res in results),
+           f"certified; max relative deviation {worst:.2e}"
+           if all(res.certified for res in results) else "certificate FAIL")
 
 
 def cmd_verify(args) -> int:

@@ -66,8 +66,9 @@ class Spectrum:
     def __len__(self):
         return len(self.eigenvalues)
 
-    def max_deviation(self, other: "Spectrum") -> float:
-        """Max pairwise distance under the best multiset matching.
+    def matched(self, other: "Spectrum") -> np.ndarray:
+        """self's eigenvalue paired with each of other's under a best multiset
+        matching.
 
         Plain sorted comparison mis-pairs conjugate eigenvalue pairs whose
         real parts tie up to rounding noise, so pair by minimal assignment.
@@ -84,12 +85,18 @@ class Spectrum:
         nearest = dist.argmin(axis=0)
         if (np.isfinite(dist).all()
                 and np.array_equal(np.bincount(nearest, minlength=len(values)), counts)):
-            return float(dist[nearest, np.arange(len(other))].max())
+            return values[nearest]
         import scipy.optimize  # imported here: loading scipy dominates CLI startup
 
         cost = np.abs(self.eigenvalues[:, None] - other.eigenvalues[None, :])
         rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        return float(cost[rows, cols].max())
+        pairs = np.empty_like(other.eigenvalues)
+        pairs[cols] = self.eigenvalues[rows]
+        return pairs
+
+    def max_deviation(self, other: "Spectrum") -> float:
+        """Max pairwise distance under the best multiset matching (matched)."""
+        return float(np.abs(self.matched(other) - other.eigenvalues).max())
 
 
 def shift_rows(A: FiniteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -148,6 +155,25 @@ def spectrum(B: RepMatrix) -> Spectrum:
     return Spectrum(eig)
 
 
+# entries of the shifted copies of a matrix that one batched SVD call holds
+_SVD_BATCH_ENTRIES = 1 << 18
+
+
+def smallest_singular_values(B: RepMatrix, z) -> np.ndarray:
+    """sigma_min(B - z I) for each z, by batched SVDs of at most
+    _SVD_BATCH_ENTRIES entries, so memory stays bounded for any number of z."""
+    z = np.asarray(z, dtype=np.complex128)
+    K = B.grid.dim
+    chunk = max(1, _SVD_BATCH_ENTRIES // (K * K))
+    eye = np.eye(K)
+    out = np.empty(len(z))
+    for start in range(0, len(z), chunk):
+        zs = z[start:start + chunk]
+        shifted = B.entries - zs[:, None, None] * eye
+        out[start:start + chunk] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    return out
+
+
 # theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53:
 # m Taylor terms evolve exp(X) to that backward error whenever ||X||_1 <= theta_m
 _THETA = {
@@ -159,12 +185,15 @@ _THETA = {
     45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+# most products of A with a vector one evolution may plan: a run time bound
+MAX_PRODUCTS = 10**7
 
 
 def taylor_plan(cols: np.ndarray, vals: np.ndarray, t: float) -> tuple[int, int, complex]:
     """(m, s, mu) for exp(tA) on A's row form, as in Al-Mohy & Higham (2011),
     Alg. 3.2: shift by mu = trace(A)/K, then take the least m*s with
-    |t| ||A - mu I||_1 <= s theta_m.  A permutation similarity keeps all three."""
+    |t| ||A - mu I||_1 <= s theta_m.  A permutation similarity keeps all three.
+    A plan of more than MAX_PRODUCTS products is refused before any step."""
     K = len(cols)
     diag = np.where(cols == np.arange(K)[:, None], vals, 0).sum(axis=1)
     mu = complex(diag.sum()) / K
@@ -177,6 +206,9 @@ def taylor_plan(cols: np.ndarray, vals: np.ndarray, t: float) -> tuple[int, int,
         return 0, 1, mu
     s = {m: math.ceil(norm / theta) for m, theta in _THETA.items()}
     m = min(s, key=lambda m: m * s[m])
+    if m * s[m] > MAX_PRODUCTS:
+        raise ValueError(f"cannot evolve to t={t}: the plan needs {m * s[m]} products "
+                         f"of A with a vector, above the ceiling of {MAX_PRODUCTS}")
     return m, s[m], mu
 
 

@@ -187,3 +187,18 @@ def generated_fop_text(rng, N, M, p):
 def generated_fop(rng, N, M, p):
     """The lowered operator of generated_fop_text."""
     return lower_fop(parse_fop(generated_fop_text(rng, N, M, p)))[0]
+
+
+def swap_rows_in_from_matrix(monkeypatch):
+    """Make pde_to_ode's from_matrix swap rows 0 and 1 of the 1D matrix it
+    converts: a wrong result that keeps the spectrum."""
+    import finop.isomorphism
+
+    original = finop.isomorphism.from_matrix
+
+    def swapped(B):
+        entries = np.array(B.entries)
+        entries[[0, 1]] = entries[[1, 0]]
+        return original(RepMatrix(B.grid, entries))
+
+    monkeypatch.setattr(finop.isomorphism, "from_matrix", swapped)

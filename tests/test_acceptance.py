@@ -170,6 +170,7 @@ def test_criterion_5_theorem1_transport():
         A = random_operator(rng, GridSpec(N, M, 2))
         res = pde_to_ode(A, n)
         assert res.ode.grid == GridSpec(1, 1, M * pf**N)
+        assert res.certified and res.spectral_report.passed
         if (N, M, n) != (2, 1, 2):  # the one frame whose permutation is the identity
             assert not np.array_equal(res.permutation.forward, np.arange(res.K))
         B = to_matrix(embed(A, pf))

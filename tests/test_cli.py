@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import finop.cli
+import finop.refinement
 from finop.cli import main
 
-from conftest import ANTI_DIFFUSIVE_HEAT2D
+from conftest import ANTI_DIFFUSIVE_HEAT2D, swap_rows_in_from_matrix
 
 
 @pytest.fixture
@@ -239,3 +240,78 @@ def test_evolve_anti_diffusive_heat_passes_with_zero_discrepancy(tmp_path, capsy
     code, out, _ = run(capsys, "evolve", str(f), "--level", level, "--times", "0.1,1,10")
     assert code == 0
     assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["0.0"] * 3
+
+
+def test_conjugate_heat2d_level_4_loads_no_scipy():
+    # heat2d lifts from K0 = 4, where its clustered double eigenvalue -16 is
+    # matched without the assignment
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(finop.cli.__file__).parents[1])}
+    code = ("import sys, finop.cli; "
+            "code = finop.cli.main(['conjugate', 'demos/heat2d.fop', '--level', '4', "
+            "'--format', 'json']); "
+            "assert code == 0 and 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_conjugate_reports_the_lift_and_the_certificate(capsys):
+    heat = str(Path(__file__).resolve().parents[1] / "demos" / "heat2d.fop")
+    code, out, _ = run(capsys, "conjugate", heat, "--level", "4", "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "lift from K0=4 to K=576; certificate PASS"
+    assert "0 far pairs" in lines[2] and "eps 1.421e-13" in lines[2] and lines[2].endswith("PASS")
+    code, out, _ = run(capsys, "conjugate", heat, "--level", "2", "--format", "json")
+    payload = json.loads(out)
+    assert (payload["K0"], payload["K"], payload["path"]) == (4, 4, "direct")
+    assert payload["certificate"] == {"passed": True, "first_mismatch": None}
+    assert payload["spectral_report"]["far_pairs"] == 0
+    assert payload["spectral_report"]["epsilon"] == 10 * 4 * 2.0**-53 * 32
+
+
+@pytest.mark.parametrize("t", ["1e300", "1e12"])
+def test_evolve_with_a_time_over_the_product_ceiling_exits_2(capsys, t):
+    import time
+
+    advection = str(Path(__file__).resolve().parents[1] / "demos" / "advection.fop")
+    start = time.monotonic()
+    code, out, err = run(capsys, "evolve", advection, "--level", "3", "--times", t)
+    assert code == 2 and time.monotonic() - start < 5
+    assert f"t={float(t)}" in err
+
+
+def test_taylor_plan_refuses_only_plans_over_the_ceiling():
+    from finop.matrep import MAX_PRODUCTS, shift_rows, taylor_plan
+
+    advection = str(Path(__file__).resolve().parents[1] / "demos" / "advection.fop")
+    A = finop.cli._load_operator(advection)[0]
+    cols, vals = shift_rows(finop.refinement.embed(A, 6))
+    m, s, _ = taylor_plan(cols, vals, 1e5)  # about 2.2e6 products: still runs
+    assert 10**6 < m * s <= MAX_PRODUCTS
+    with pytest.raises(ValueError, match=rf"t=1000000000000.0: .* above the ceiling of {MAX_PRODUCTS}"):
+        taylor_plan(cols, vals, 1e12)
+
+
+def test_verify_conjugates_each_frame_directly_and_requires_the_certificate(capsys, monkeypatch):
+    from finop.cli import SPECTRUM_CHECK_FRAMES
+
+    results = []
+    conjugate = finop.cli.pde_to_ode
+    monkeypatch.setattr(finop.cli, "pde_to_ode",
+                        lambda *args: results.append(conjugate(*args)) or results[-1])
+    code, out, _ = run(capsys, "verify", "--seed", "3")
+    assert code == 0
+    assert len(results) == len(SPECTRUM_CHECK_FRAMES)
+    for res in results:  # the operator is on the n!-grid, so nothing is lifted
+        assert res.path == "direct" and res.certified
+        assert not np.array_equal(res.permutation.forward, np.arange(res.K))
+
+    swap_rows_in_from_matrix(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--seed", "3")
+    assert code == 1
+    assert "conjugation spectrum equality   FAIL  certificate FAIL" in out

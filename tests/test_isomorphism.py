@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 from fractions import Fraction
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finop.cli
+import finop.grid
 import finop.isomorphism
 import finop.matrep
 from finop import (
@@ -24,7 +27,7 @@ from finop import (
 )
 
 from conftest import (assignment_deviation, generated_fop, jordan_operator, perm_matrix, rand_op,
-                      rand_vec)
+                      rand_vec, swap_rows_in_from_matrix)
 
 
 def test_identity_conjugates_to_identity():
@@ -103,9 +106,11 @@ def test_source_spectrum_and_scale_come_from_own_grid(rng, N, M, level):
 
 @pytest.mark.parametrize("N,M,level", FRAMES)
 def test_pde_to_ode_one_k_by_k_eigensolve_and_no_k_by_k_svd(rng, monkeypatch, N, M, level):
+    # the one 1D eigensolve is at the minimal level's K0 = M (2!)^N, and no
+    # matrix of size K is assembled when K0 < K
     A = rand_op(rng, N, M, 2)
-    eig_sizes, norm_sizes = [], []
-    eigvals, norm = np.linalg.eigvals, finop.matrep.RepMatrix.norm
+    eig_sizes, norm_sizes, matrix_sizes = [], [], []
+    eigvals, norm, to_matrix_ = np.linalg.eigvals, finop.matrep.RepMatrix.norm, finop.isomorphism.to_matrix
 
     def counted_eigvals(a):
         eig_sizes.append(len(a))
@@ -115,11 +120,20 @@ def test_pde_to_ode_one_k_by_k_eigensolve_and_no_k_by_k_svd(rng, monkeypatch, N,
         norm_sizes.append(B.grid.dim)
         return norm(B)
 
+    def counted_to_matrix(op):
+        matrix_sizes.append(op.grid.dim)
+        return to_matrix_(op)
+
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(finop.matrep.RepMatrix, "norm", counted_norm)
+    monkeypatch.setattr(finop.isomorphism, "to_matrix", counted_to_matrix)
     res = pde_to_ode(A, level)
-    assert sorted(eig_sizes) == [A.grid.dim, res.K]
+    K0 = M * 2**N
+    assert res.K0 == K0 and res.path == ("direct" if K0 == res.K else "lift")
+    assert sorted(eig_sizes) == [A.grid.dim, K0]
     assert norm_sizes == [A.grid.dim]
+    assert max(matrix_sizes) == K0
+    assert res.certified
 
 
 def test_evolve_compare_does_no_spectral_work(rng, monkeypatch):
@@ -278,10 +292,20 @@ DEVIATION_CASES = [
 
 
 @pytest.mark.parametrize("kind,N,M,p,level", DEVIATION_CASES)
-def test_pde_to_ode_deviation_equals_the_assignment(kind, N, M, p, level):
+def test_pde_to_ode_deviation_equals_the_assignment(kind, N, M, p, level, monkeypatch, capsys):
+    # every case is an exact conjugation, so the certificate and the spectral
+    # verdict pass and `conjugate` exits 0, Jordan blocks included
     rng = np.random.default_rng([N, M, p, level])
     A = {"random": rand_op, "fop": generated_fop, "jordan": jordan_operator}[kind](rng, N, M, p)
-    rep = pde_to_ode(A, level).spectral_report
+    results = []
+    monkeypatch.setattr(finop.cli, "_load_operator", lambda path: (A, A.grid))
+    monkeypatch.setattr(finop.cli, "pde_to_ode", lambda *args: results.append(pde_to_ode(*args))
+                        or results[-1])
+    assert finop.cli.main(["conjugate", "operator.fop", "--level", str(level)]) == 0
+    capsys.readouterr()
+    res, = results
+    rep = res.spectral_report
+    assert res.certified and rep.passed
     want = assignment_deviation(rep.source, rep.target)
     assert np.float64(rep.max_deviation).tobytes() == np.float64(want).tobytes()
 
@@ -305,3 +329,141 @@ def test_star_isomorphism_laws(frame, seed):
     assert np.array_equal(to_matrix(phi(A + B, level)).entries, to_matrix(PA + PB).entries)
     lhs, rhs = to_matrix(phi(A.compose(B), level)).entries, to_matrix(PA.compose(PB)).entries
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
+
+
+# (N, M, p, level): frames whose minimal level n0 is below the level (a lift)
+# or equal to it (direct), K from 72 to 576
+LIFT_CASES = [(2, 2, 2, 3), (1, 2, 3, 4), (3, 1, 2, 3), (2, 1, 3, 4), (2, 1, 4, 4), (1, 1, 5, 5)]
+
+
+def direct_gather(A, level):
+    """The level-n 1D matrix by the dense gather B[fwd][:, fwd] at size K."""
+    fwd = finop.isomorphism.build_permutation(A.grid.N, A.grid.M, level).forward
+    return to_matrix(embed(A, math.factorial(level))).entries[np.ix_(fwd, fwd)]
+
+
+@pytest.mark.parametrize("N,M,p,level", LIFT_CASES)
+@pytest.mark.parametrize("draw", range(3))
+def test_lift_equals_the_direct_gather(N, M, p, level, draw):
+    A = rand_op(np.random.default_rng([N, M, p, level, draw]), N, M, p)
+    res = pde_to_ode(A, level)
+    assert res.K0 == M * math.factorial(finop.isomorphism._min_level(p)) ** N
+    assert res.path == ("lift" if res.K0 < res.K else "direct")
+    assert np.array_equal(to_matrix(res.ode).entries, direct_gather(A, level))
+    assert res.certified
+
+
+def heat2d_operator():
+    """demos/heat2d.fop: -adj(D1) D1 - adj(D2) D2 on p = 2."""
+    g = GridSpec(2, 1, 2)
+    D1 = FiniteOperator.derivative(g, 1, Fraction(1, 2))
+    D2 = FiniteOperator.derivative(g, 2, Fraction(1, 2))
+    return (-1.0) * (D1.adjoint().compose(D1) + D2.adjoint().compose(D2))
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_heat2d_lifts_from_k0_4(level):
+    A = heat2d_operator()
+    res = pde_to_ode(A, level)
+    assert (res.K0, res.path, res.K) == (4, "lift", math.factorial(level) ** 2)
+    assert np.array_equal(to_matrix(res.ode).entries, direct_gather(A, level))
+    assert res.certified and res.spectral_report.passed
+    assert len(res.spectral_report.source) == len(res.spectral_report.target) == res.K
+
+
+# every (N, M, p, level) with K <= 576 and p | level!
+SMALL_FRAMES = [(N, M, p, level) for N in (1, 2, 3) for M in (1, 2, 3) for level in range(1, 6)
+                if M * math.factorial(level) ** N <= 576
+                for p in range(1, math.factorial(level) + 1) if math.factorial(level) % p == 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_FRAMES), st.integers(0, 2**32 - 1))
+def test_lift_equals_the_direct_gather_on_any_small_frame(frame, seed):
+    N, M, p, level = frame
+    A = rand_op(np.random.default_rng(seed), N, M, p)
+    res = pde_to_ode(A, level)
+    assert np.array_equal(to_matrix(res.ode).entries, direct_gather(A, level))
+    assert res.certified
+
+
+@pytest.mark.parametrize("N,M,p,level", [(2, 1, 2, 3), (2, 2, 2, 2), (1, 2, 3, 4)])
+def test_certificate_names_the_first_mismatch_of_a_swapped_row(rng, monkeypatch, capsys,
+                                                                 N, M, p, level):
+    A = rand_op(rng, N, M, p)
+    want = direct_gather(A, level)
+    swap_rows_in_from_matrix(monkeypatch)
+    res = pde_to_ode(A, level)  # does not raise
+    got = to_matrix(res.ode).entries
+    assert not res.certified
+    assert res.first_mismatch == tuple(int(k) for k in np.argwhere(got != want)[0])
+    assert res.spectral_report.passed  # the spectra do not see the swap
+    monkeypatch.setattr(finop.cli, "_load_operator", lambda path: (A, A.grid))
+    assert finop.cli.main(["conjugate", "operator.fop", "--level", str(level),
+                           "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] == {"passed": False, "first_mismatch": list(res.first_mismatch)}
+
+
+def test_certificate_sees_a_dropped_and_an_added_entry(rng):
+    A = rand_op(rng, 2, 1, 2)
+    res = pde_to_ode(A, 3)
+    A3 = embed(A, 6)
+    P = res.permutation
+    dropped = dict(res.ode.terms)
+    shift = max(dropped)
+    values = np.array(dropped[shift].values)
+    k = int(np.flatnonzero(values.ravel())[-1])  # the last nonzero cell of the largest shift
+    values.ravel()[k] = 0
+    dropped[shift] = finop.grid.StepFunction(res.ode.grid, values)
+    ode = FiniteOperator(res.ode.grid, dropped)
+    want = tuple(int(x) for x in np.argwhere(to_matrix(ode).entries != direct_gather(A, 3))[0])
+    assert finop.isomorphism._first_mismatch(A3, P, ode) == want
+    added = res.ode + FiniteOperator(
+        res.ode.grid, {(res.K - 1,): finop.grid.StepFunction.constant(res.ode.grid, 1e-300)})
+    want = tuple(int(x) for x in np.argwhere(to_matrix(added).entries != direct_gather(A, 3))[0])
+    assert finop.isomorphism._first_mismatch(A3, P, added) == want
+
+
+def test_far_pair_rule_checks_multiplicities():
+    # A = diag(0, 1) is well conditioned.  A duplicated row gives the target
+    # spectrum {0, 0}: 0 is an eigenvalue of A, so t alone would pass, but
+    # the midpoint 1/2 of the pair (1, 0) is far from A's spectrum.
+    g = GridSpec(1, 2, 1)
+    A = finop.matrep.RepMatrix(g, np.diag([0.0, 1.0]))
+    rep = finop.isomorphism._spectral_report(A, finop.matrep.RepMatrix(g, np.zeros((2, 2))), 2)
+    assert rep.far_pairs == 1 and rep.max_residual == pytest.approx(0.5)
+    assert not rep.passed
+    exact = finop.isomorphism._spectral_report(A, A, 4)
+    assert (exact.far_pairs, exact.max_residual, exact.passed) == (0, 0.0, True)
+    assert exact.epsilon == 10 * 2 * 2.0**-53 * 1.0
+    assert len(exact.source) == len(exact.target) == 4
+    assert {"epsilon", "far_pairs", "max_residual"} <= set(exact.to_json_dict())
+
+
+@pytest.mark.parametrize("N,M,p,level", [(1, 2, 4, 4), (1, 1, 3, 3), (1, 3, 3, 3)])
+def test_defective_conjugation_passes_by_conditioning_not_by_tolerance(N, M, p, level):
+    A = jordan_operator(np.random.default_rng([N, M, p, level]), N, M, p)
+    rep = pde_to_ode(A, level).spectral_report
+    assert rep.max_deviation > rep.tolerance and rep.far_pairs > 0
+    assert 0 < rep.max_residual <= rep.epsilon and rep.passed
+
+
+def test_corrupted_1d_matrices_fail_the_spectral_verdict(rng):
+    # row swap, row duplicate and a 1e-3 diagonal change of a random operator's
+    # 1D matrix, on a frame with K0 = K
+    A = rand_op(rng, 2, 2, 2)
+    B = to_matrix(A)
+    fwd = finop.isomorphism.build_permutation(2, 2, 2).forward
+    Bode = B.entries[np.ix_(fwd, fwd)]
+    for i, j in ((0, 1), (2, 5), (7, 3)):
+        for corrupt in ("swap", "dup", "diag"):
+            E = np.array(Bode)
+            if corrupt == "swap":
+                E[[i, j]] = E[[j, i]]
+            elif corrupt == "dup":
+                E[i] = E[j]
+            else:
+                E[i, i] += 1e-3
+            rep = finop.isomorphism._spectral_report(B, finop.matrep.RepMatrix(B.grid, E), 8)
+            assert not rep.passed, (corrupt, i, j)
